@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
+from .pfa import _check_tau
 
 
 class DetectorKind(enum.Enum):
@@ -91,13 +92,6 @@ class Window:
     @property
     def m_ref(self) -> int:
         return self.reference.size
-
-
-def _check_tau(tau: float) -> float:
-    if not (isinstance(tau, (int, float, np.floating, np.integer))
-            and math.isfinite(tau) and tau >= 0.0):
-        raise ParameterDomainError(f"tau must be finite and >= 0, got {tau!r}")
-    return float(tau)
 
 
 def _check_scale(scale: float) -> float:

@@ -14,9 +14,12 @@ detectors carry two candidate closed forms side by side:
 Neither is silently "corrected": both evaluate here, and the oracle module
 decides which one the brute-force evidence supports.
 
-All sums run over non-negative terms via stable recurrences; when a term
-leaves the comfortable double range the evaluation restarts in the log
-domain, so window sizes up to 10**3 neither overflow nor underflow.
+Both multi-pulse forms are one O(N) pass of the negative-binomial term
+recurrence (``_negbin_sum``) over non-negative terms.  A leading term that
+would underflow is replaced by 1 with its log carried as an offset, terms
+that grow too large are rescaled together with the running total, and the
+pass stops once the falling terms no longer change the total, so window
+sizes up to 10**3 neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -28,8 +31,11 @@ import numpy as np
 
 from .errors import ParameterDomainError, UnsupportedConfigurationError
 
-# Linear-domain term recurrences fall back to log space outside this range.
-_TERM_LO, _TERM_HI = 1e-280, 1e280
+# Scaled terms stay below _RESCALE; a leading term below 1/_RESCALE starts
+# the recurrence from 1 with its log carried as an offset.
+_RESCALE = 1e280
+# A term below total * 2**-54 rounds away when added to the total.
+_NEGLIGIBLE = 2.0 ** -54
 
 
 class PfaFormulaVariant(enum.Enum):
@@ -137,6 +143,39 @@ def pfa_gm_full_single(n_ref: int, tau: float, variant: PfaFormulaVariant) -> fl
     )
 
 
+def _negbin_sum(a: int, count: int, tau: float, ln_q: float = -math.inf,
+                scale: float = 1.0) -> float:
+    """min(1, scale * sum_{k<count} f(k) (1 - q**(count-k))) with q = e**ln_q.
+
+    ``f(k) = C(a+k-1, k) tau**k (1+tau)**-(a+k)`` is the negative-binomial
+    term, built by f(k+1) = f(k) (a+k)/(k+1) tau/(1+tau).  The default q = 0
+    weighs every term by exactly 1.  The terms rise to one mode and then
+    fall, and so do the weighted terms, so the pass stops at the first
+    falling term too small to change the total: the result is the same as
+    summing every term in order.
+    """
+    ratio = tau / (1.0 + tau)
+    term = (1.0 + tau) ** (-a)
+    offset = 0.0
+    if term < 1.0 / _RESCALE:
+        term, offset = 1.0, -a * math.log1p(tau)
+    total = term * -math.expm1(count * ln_q)
+    for k in range(1, count):
+        step = (a + k - 1) / k * ratio
+        term *= step
+        if term > _RESCALE:
+            offset += math.log(term)
+            total /= term
+            term = 1.0
+        part = term * -math.expm1((count - k) * ln_q)
+        if step < 1.0 and part < total * _NEGLIGIBLE:
+            break
+        total += part
+    if offset == 0.0:
+        return min(scale * total, 1.0)
+    return min(math.exp(offset + math.log(scale * total)), 1.0)
+
+
 def pfa_gm_partial_multi(n_cut: int, m_ref: int, tau: float) -> float:
     """False-alarm probability of the scale-weighted multi-pulse rule:
     sum_{l<N} C(M+l-1, l) tau**l / (1+tau)**(M+l).
@@ -146,24 +185,7 @@ def pfa_gm_partial_multi(n_cut: int, m_ref: int, tau: float) -> float:
     n = _check_count("n_cut", n_cut)
     m = _check_count("m_ref", m_ref)
     tau = _check_tau(tau)
-
-    term = (1.0 + tau) ** (-m)
-    if _TERM_LO < term:
-        total = term
-        ratio = tau / (1.0 + tau)
-        ok = True
-        for l in range(n - 1):
-            term *= (m + l) / (l + 1) * ratio
-            if not _TERM_LO < term < _TERM_HI:
-                ok = False
-                break
-            total += term
-        if ok:
-            return min(total, 1.0)
-    return min(_logsum_terms(
-        (log_binomial(m + l - 1, l) + _xlogy(l, tau) - (m + l) * math.log1p(tau)
-         for l in range(n))
-    ), 1.0)
+    return _negbin_sum(m, n, tau)
 
 
 def pfa_gm_full_multi(n_cut: int, m_ref: int, tau: float,
@@ -175,6 +197,10 @@ def pfa_gm_full_multi(n_cut: int, m_ref: int, tau: float,
     CANDIDATE keeps the excess gamma shape at M-1 and the ``N**(l-n)``
     binomial factor:
     ``M sum_l sum_n C(M+n-2, n) N**(l-n) (N+M)**-(l-n+1) tau**n (1+tau)**-(M+n-1)``.
+
+    Either double sum is evaluated in one O(N) pass: reordered as
+    ``M sum_n f(n) G(N-1-n)``, with f the scaled negative-binomial term
+    recurrence and G the prefix sums of the geometric weight in closed form.
 
     Closed forms require m_ref >= 2; the m_ref = 1 detector is tau-invariant
     and is served by the quadrature oracle.
@@ -192,68 +218,10 @@ def pfa_gm_full_multi(n_cut: int, m_ref: int, tau: float,
             "(the m_ref = 1 rule is tau-invariant)"
         )
 
-    # Cauchy reorder of the double sum: Pfa = M * sum_n f(n) * G(N-1-n) with
-    # G the prefix sums of g.
+    # f has shape a; G(j) = sum_{i<=j} q**i / (N+M) = (1 - q**(j+1)) / norm
+    # with norm = (N+M)(1-q), an integer.
     if variant is PfaFormulaVariant.PAPER:
-        f0 = (1.0 + tau) ** (-m)
-        f_num_offset = m        # f(n+1) = f(n) * (m+n)/(n+1) * tau/(1+tau)
-        g_ratio = 1.0 / (n + m)
+        a, ln_q, norm = m, -math.log(n + m), n + m - 1  # q = 1/(N+M)
     else:
-        f0 = (1.0 + tau) ** (-(m - 1))
-        f_num_offset = m - 1    # f(n+1) = f(n) * (m+n-1)/(n+1) * tau/(1+tau)
-        g_ratio = n / (n + m)
-
-    if f0 > _TERM_LO:
-        ratio = tau / (1.0 + tau)
-        f = f0
-        g = 1.0 / (n + m)
-        prefix = [g]
-        ok = True
-        for _ in range(n - 1):
-            g *= g_ratio
-            prefix.append(prefix[-1] + g)
-            if not g > _TERM_LO:
-                ok = False
-                break
-        if ok:
-            total = 0.0
-            for idx in range(n):
-                if idx > 0:
-                    f *= (f_num_offset + idx - 1) / idx * ratio
-                    if not _TERM_LO < f < _TERM_HI:
-                        ok = False
-                        break
-                total += f * prefix[n - 1 - idx]
-            if ok:
-                return min(m * total, 1.0)
-
-    # Log-domain fallback over the raw double sum.
-    log_m_tot = math.log(n + m)
-    log1p_tau = math.log1p(tau)
-    if variant is PfaFormulaVariant.PAPER:
-        logs = (log_binomial(m + nn - 1, nn) - (ll - nn + 1) * log_m_tot
-                + _xlogy(nn, tau) - (m + nn) * log1p_tau
-                for ll in range(n) for nn in range(ll + 1))
-    else:
-        log_n = math.log(n)
-        logs = (log_binomial(m + nn - 2, nn) + (ll - nn) * log_n
-                - (ll - nn + 1) * log_m_tot
-                + _xlogy(nn, tau) - (m + nn - 1) * log1p_tau
-                for ll in range(n) for nn in range(ll + 1))
-    return min(m * _logsum_terms(logs), 1.0)
-
-
-def _xlogy(k: int, tau: float) -> float:
-    """k * log(tau) with the 0 * log(0) = 0 convention used by the sums."""
-    if k == 0:
-        return 0.0
-    return k * math.log(tau) if tau > 0.0 else -math.inf
-
-
-def _logsum_terms(log_terms) -> float:
-    """exp(logsumexp(...)) over an iterable of log-domain terms."""
-    logs = [v for v in log_terms if v != -math.inf]
-    if not logs:
-        return 0.0
-    peak = max(logs)
-    return math.exp(peak) * math.fsum(math.exp(v - peak) for v in logs)
+        a, ln_q, norm = m - 1, math.log1p(-m / (n + m)), m  # q = N/(N+M)
+    return _negbin_sum(a, n, tau, ln_q, m / norm)

@@ -22,12 +22,10 @@ from .clutter import ParetoParams
 from .detectors import (DetectorKind, margins_full_multi,
                         margins_partial_multi)
 from .errors import ParameterDomainError
-from .oracles import EstimateWithCI, _check_seed, _check_trials, _make_estimate
+from .oracles import (_BATCH_CELLS, EstimateWithCI, _check_seed,
+                      _check_trials, _make_estimate)
 from .pfa import _check_count, _check_tau
 from .rng import RandomStream, stable_u64
-
-# Cap on scratch cells per simulation batch.
-_BATCH_CELLS = 1 << 23
 
 # Pass threshold for the chi-square homogeneity p-value.
 HOMOGENEITY_ALPHA = 0.001

@@ -1,6 +1,7 @@
 """Tests for the closed-form false-alarm probabilities."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -217,3 +218,78 @@ class TestFullMulti:
                     for tau in TAUS:
                         value = pfa_gm_full_multi(n, m, tau, variant)
                         assert 0.0 <= value <= 1.0
+
+
+def _mp_negbin_terms(a, count, tau):
+    """C(a+k-1, k) tau**k (1+tau)**-(a+k) for k < count, term by term at the
+    working precision, with the binomials in exact integers."""
+    tau = mpmath.mpf(tau)
+    binom, power, terms = 1, (1 + tau) ** -a, []
+    for k in range(count):
+        if k:
+            binom = binom * (a + k - 1) // k
+            power *= tau / (1 + tau)
+        terms.append(binom * power)
+    return terms
+
+
+def _mp_partial_multi(n, m, tau):
+    with mpmath.workdps(40):
+        return float(mpmath.fsum(_mp_negbin_terms(m, n, tau)))
+
+
+def _mp_full_multi(n, m, tau, variant):
+    """The raw double sum M sum_{l<N} sum_{k<=l} f(k) g(l-k), every term
+    evaluated at 40 digits; summing over l first makes the inner sum a
+    running prefix of g."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(n + m)
+        if variant is PAPER:
+            shape, q = m, 1 / total
+        else:
+            shape, q = m - 1, n / total
+        prefix, acc, g = [], mpmath.mpf(0), 1 / total
+        for _ in range(n):
+            acc += g
+            prefix.append(acc)
+            g *= q
+        f = _mp_negbin_terms(shape, n, tau)
+        return float(m * mpmath.fsum(f[k] * prefix[n - 1 - k] for k in range(n)))
+
+
+def _assert_matches_reference(got, want, where):
+    # 1e-12 relative; a value that underflows must come out (essentially) 0.
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * sys.float_info.min), \
+        (where, got, want)
+
+
+class TestAgainstMpmath:
+    """Every multi-pulse closed form against a 40-digit evaluation of the raw
+    sums across the documented domain, window sizes up to 10**3."""
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 1000])
+    @pytest.mark.parametrize("m", [2, 3, 100, 1000])
+    def test_grid(self, n, m):
+        # tau = 0 with n > 1 ends every sum after one term; tau = n/m puts
+        # the largest summand near the last index n-1.
+        for tau in (0.0, 1e-3, 0.8 * n / m, n / m, 1.25 * n / m, 20.0):
+            _assert_matches_reference(pfa_gm_partial_multi(n, m, tau),
+                                      _mp_partial_multi(n, m, tau),
+                                      ("partial", n, m, tau))
+            for variant in (PAPER, CANDIDATE):
+                _assert_matches_reference(pfa_gm_full_multi(n, m, tau, variant),
+                                          _mp_full_multi(n, m, tau, variant),
+                                          (variant.value, n, m, tau))
+
+    @pytest.mark.parametrize("n, m, tau", [(1, 1000, 1.0), (2, 1000, 1.0691),
+                                           (4, 1000, 5.0), (300, 1000, 2.7863),
+                                           (1000, 1000, 20.0), (64, 300, 19.41)])
+    def test_far_below_1e_300(self, n, m, tau):
+        want = _mp_partial_multi(n, m, tau)
+        assert want < 1e-300
+        _assert_matches_reference(pfa_gm_partial_multi(n, m, tau), want,
+                                  ("partial", n, m, tau))
+        for variant in (PAPER, CANDIDATE):
+            _assert_matches_reference(pfa_gm_full_multi(n, m, tau, variant),
+                                      _mp_full_multi(n, m, tau, variant),
+                                      (variant.value, n, m, tau))

@@ -1,5 +1,7 @@
 """Tests for the threshold-multiplier solver."""
 
+import time
+
 import pytest
 
 from gmcfar import (DetectorKind, NumericalFailureError, ParameterDomainError,
@@ -87,6 +89,25 @@ class TestNumericSolve:
         tau = solve_tau_numeric(DetectorKind.GM_PARTIAL_SINGLE, 1, 8,
                                 config, partial_multi_report)
         assert tau == solve_tau_partial_single(8, 1e-4)
+
+    def test_full_multi_at_documented_bound(self, full_multi_report):
+        # Windows up to 10**3 are inside the documented domain: a threshold
+        # there takes milliseconds and must stay well inside seconds.
+        assert full_multi_report.validated_variant is PfaFormulaVariant.CANDIDATE
+        target = 1e-6
+        start = time.perf_counter()
+        tau = solve_tau_numeric(DetectorKind.GM_FULL_MULTI, 1000, 1000,
+                                SolverConfig(target), full_multi_report)
+        assert time.perf_counter() - start < 5.0
+        achieved = validated_pfa(DetectorKind.GM_FULL_MULTI, full_multi_report,
+                                 1000, 1000, tau)
+        assert abs(achieved - target) <= 1e-9 * target
+
+        start = time.perf_counter()
+        for tau in (0.0, 0.01, 0.1, 0.3, 0.49):
+            for variant in (PfaFormulaVariant.PAPER, PfaFormulaVariant.CANDIDATE):
+                assert 0.0 < pfa_gm_full_multi(1000, 100, tau, variant) <= 1.0
+        assert time.perf_counter() - start < 1.0
 
     def test_smaller_targets_need_larger_tau(self, full_multi_report):
         taus = [
