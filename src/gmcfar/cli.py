@@ -17,17 +17,15 @@ import csv
 import io
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .clutter import ParetoParams, sample_pareto
 from .detectors import DetectorKind
 from .errors import (GmCfarError, InconsistentReportError,
                      NumericalFailureError, ParameterDomainError,
                      UnsupportedConfigurationError)
-from .oracles import (DEFAULT_M_REF, DEFAULT_N_CUT, DEFAULT_TAUS,
-                      AdjudicationReport, ExcessShape, PfaFormulaVariant,
-                      adjudicate, quadrature_pfa_full_multi,
-                      quadrature_pfa_partial_multi, validated_pfa)
+from .oracles import (DEFAULT_TAUS, AdjudicationReport, PfaFormulaVariant,
+                      _closed_form, _quadrature, adjudicate, validated_pfa)
 from .pfa import (pfa_gm_full_multi, pfa_gm_full_single,
                   pfa_gm_partial_multi, pfa_gm_partial_single)
 from .rng import RandomStream
@@ -87,13 +85,15 @@ def _load_report(path: str, kind: DetectorKind) -> AdjudicationReport:
         raise ParameterDomainError(f"cannot read report {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParameterDomainError(f"malformed report {path}: {exc}") from exc
-    if "reports" in doc:
-        sub = doc["reports"].get(kind.value)
-        if sub is None:
+    if isinstance(doc, dict) and "reports" in doc:
+        if not isinstance(doc["reports"], dict):
+            raise ParameterDomainError(
+                f"malformed report {path}: 'reports' must be a JSON object")
+        doc = doc["reports"].get(kind.value)
+        if doc is None:
             raise ParameterDomainError(
                 f"report {path} has no entry for {kind.value}"
             )
-        return AdjudicationReport.from_dict(sub)
     return AdjudicationReport.from_dict(doc)
 
 
@@ -107,26 +107,22 @@ def _obtain_report(args, kind: DetectorKind, n_cut: int,
     return adjudicate(kind, grid, trials=args.trials, seed=args.seed)
 
 
-def _quadrature_value(kind: DetectorKind, n_cut: int, m_ref: int,
-                      tau: float) -> float:
-    if kind.is_full:
-        return quadrature_pfa_full_multi(n_cut, m_ref, tau, 1e-10,
-                                         ExcessShape.M_MINUS_ONE)
-    return quadrature_pfa_partial_multi(n_cut, m_ref, tau, 1e-10)
+def _pfa_and_solver(args, kind: DetectorKind, n_cut: int, m_ref: int,
+                    ) -> tuple[Callable[[float], float],
+                               Callable[[SolverConfig], float]]:
+    """The pair (Pfa of tau, tau of a solver config) for one window.
 
-
-def _closed_form(kind: DetectorKind, n_cut: int, m_ref: int, tau: float,
-                 variant: PfaFormulaVariant) -> Optional[float]:
+    Partial-single inverts in closed form and needs no report; every other
+    kind uses the validated Pfa and the numeric solver over one report.
+    """
     if kind is DetectorKind.GM_PARTIAL_SINGLE:
-        return pfa_gm_partial_single(m_ref, tau)
-    if kind is DetectorKind.GM_PARTIAL_MULTI:
-        return pfa_gm_partial_multi(n_cut, m_ref, tau)
-    if kind is DetectorKind.GM_FULL_SINGLE:
-        return pfa_gm_full_single(m_ref, tau, variant)
-    try:
-        return pfa_gm_full_multi(n_cut, m_ref, tau, variant)
-    except UnsupportedConfigurationError:
-        return None
+        return (lambda tau: pfa_gm_partial_single(m_ref, tau),
+                lambda config: solve_tau_partial_single(m_ref,
+                                                        config.target_pfa))
+    report = _obtain_report(args, kind, n_cut, m_ref)
+    return (lambda tau: validated_pfa(kind, report, n_cut, m_ref, tau),
+            lambda config: solve_tau_numeric(kind, n_cut, m_ref, config,
+                                             report))
 
 
 def _cmd_pfa(args) -> int:
@@ -134,16 +130,14 @@ def _cmd_pfa(args) -> int:
     tau = args.tau
     rows = []
     if args.all_variants:
-        paper = _closed_form(kind, n_cut, m_ref, tau, PfaFormulaVariant.PAPER)
-        rows.append(("paper", paper))
-        if kind.is_full:
-            candidate = _closed_form(kind, n_cut, m_ref, tau,
-                                     PfaFormulaVariant.CANDIDATE)
-            rows.append(("candidate", candidate))
-        rows.append(("quadrature", _quadrature_value(kind, n_cut, m_ref, tau)))
+        for name in ("paper", "candidate") if kind.is_full else ("paper",):
+            rows.append((name, _closed_form(kind, n_cut, m_ref, tau,
+                                            PfaFormulaVariant(name))))
+        rows.append(("quadrature",
+                     _quadrature(kind, n_cut, m_ref, tau, 1e-10)))
     elif args.variant in ("paper", "candidate"):
-        variant = PfaFormulaVariant(args.variant)
-        value = _closed_form(kind, n_cut, m_ref, tau, variant)
+        value = _closed_form(kind, n_cut, m_ref, tau,
+                             PfaFormulaVariant(args.variant))
         if value is None:
             raise UnsupportedConfigurationError(
                 f"{kind.value} has no closed form at m_ref={m_ref}; "
@@ -151,7 +145,8 @@ def _cmd_pfa(args) -> int:
             )
         rows.append((args.variant, value))
     elif args.variant == "quadrature":
-        rows.append(("quadrature", _quadrature_value(kind, n_cut, m_ref, tau)))
+        rows.append(("quadrature",
+                     _quadrature(kind, n_cut, m_ref, tau, 1e-10)))
     else:
         report = _obtain_report(args, kind, n_cut, m_ref)
         value = validated_pfa(kind, report, n_cut, m_ref, tau)
@@ -174,13 +169,9 @@ def _cmd_threshold(args) -> int:
     kind, n_cut, m_ref = _window_config(args)
     config = SolverConfig(target_pfa=args.pfa, abs_tol=args.abs_tol,
                           max_iterations=args.max_iterations)
-    if kind is DetectorKind.GM_PARTIAL_SINGLE:
-        tau = solve_tau_partial_single(m_ref, config.target_pfa)
-        achieved = pfa_gm_partial_single(m_ref, tau)
-    else:
-        report = _obtain_report(args, kind, n_cut, m_ref)
-        tau = solve_tau_numeric(kind, n_cut, m_ref, config, report)
-        achieved = validated_pfa(kind, report, n_cut, m_ref, tau)
+    pfa_of, solve = _pfa_and_solver(args, kind, n_cut, m_ref)
+    tau = solve(config)
+    achieved = pfa_of(tau)
     if args.format == "json":
         _write_json({
             "kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
@@ -381,27 +372,13 @@ def _cmd_sweep(args) -> int:
         raise ParameterDomainError(
             "exactly one of --tau-range or --pfa-range is required"
         )
-    report = None
-    if kind is not DetectorKind.GM_PARTIAL_SINGLE:
-        report = _obtain_report(args, kind, n_cut, m_ref)
-
-    def pfa_of(tau: float) -> float:
-        if kind is DetectorKind.GM_PARTIAL_SINGLE:
-            return pfa_gm_partial_single(m_ref, tau)
-        return validated_pfa(kind, report, n_cut, m_ref, tau)
-
+    pfa_of, solve = _pfa_and_solver(args, kind, n_cut, m_ref)
     if args.tau_range is not None:
         rows = [(tau, pfa_of(tau)) for tau in _sweep_taus(args)]
         header = ["tau", "pfa"]
     else:
-        rows = []
-        for target in _sweep_targets(args):
-            config = SolverConfig(target_pfa=target)
-            if kind is DetectorKind.GM_PARTIAL_SINGLE:
-                tau = solve_tau_partial_single(m_ref, target)
-            else:
-                tau = solve_tau_numeric(kind, n_cut, m_ref, config, report)
-            rows.append((target, tau))
+        rows = [(target, solve(SolverConfig(target_pfa=target)))
+                for target in _sweep_targets(args)]
         header = ["pfa", "tau"]
 
     if args.format == "json":
@@ -460,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="output format (default csv)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; affects speed only")
+                        help="accepted and checked (>= 1) but unused "
+                             "today; never changes output")
 
     parser = argparse.ArgumentParser(
         prog="gmcfar",

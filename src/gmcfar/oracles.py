@@ -48,6 +48,22 @@ DEFAULT_M_REF = (1, 2, 4, 8, 16)
 
 _REPORT_SCHEMA_VERSION = 1
 
+# The JSON fields of a report and of each of its points, in written order,
+# with the types each may hold (checked exactly, so true is not a count).
+# A point's ``mc_*`` fields are the attributes of its Monte Carlo estimate.
+_NUM, _OPT_NUM = (int, float), (int, float, type(None))
+_REPORT_FIELDS = dict(
+    detector=(str,), seed=(int,), trials=(int,), tol=_NUM, points=(list,),
+    internally_consistent=(bool,), insufficient_precision=(bool,),
+    validated_variant=(str, type(None)), verdict=(str,))
+_POINT_FIELDS = dict(
+    n_cut=(int,), m_ref=(int,), tau=_NUM, mc_estimate=_NUM, mc_ci_low=_NUM,
+    mc_ci_high=_NUM, mc_successes=(int,), quadrature=_NUM,
+    quadrature_excess_m=_OPT_NUM, paper=_OPT_NUM, candidate=_OPT_NUM,
+    oracle_consistent=(bool,), paper_verdict=(str,),
+    candidate_verdict=(str,), discriminates=(bool,),
+    insufficient_precision=(bool,))
+
 
 class ExcessShape(enum.Enum):
     """Gamma shape of the reference excess over its minimum.
@@ -131,6 +147,22 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _exponential_batches(base: RandomStream, n: int, m: int, trials: int):
+    """Unit exponentials for ``trials`` windows of n + m cells, yielded as
+    ``(size, n)`` and ``(size, m)`` arrays from the ``cut`` and ``ref``
+    children of ``base``, at most ``_BATCH_CELLS`` cells a batch.
+
+    Window ``i`` always reads the same stream indices, so the draws do not
+    depend on the batch size.
+    """
+    s_cut, s_ref = base.child("cut"), base.child("ref")
+    batch = max(1, min(trials, _BATCH_CELLS // (n + m)))
+    for done in range(0, trials, batch):
+        size = min(batch, trials - done)
+        yield (s_cut.exponentials(n * size, start=n * done).reshape(size, n),
+               s_ref.exponentials(m * size, start=m * done).reshape(size, m))
+
+
 def _mc_dual_counts(kind: DetectorKind, n_cut: int, m_ref: int,
                     taus: Sequence[float], trials: int, seed: int) -> list[int]:
     """Success counts P(margin > 0) for several taus over shared samples.
@@ -140,19 +172,12 @@ def _mc_dual_counts(kind: DetectorKind, n_cut: int, m_ref: int,
     fixtures hold exactly.
     """
     base = RandomStream(seed, 0).child("dual", kind.value, n_cut, m_ref)
-    s_cut, s_ref = base.child("cut"), base.child("ref")
     taus = [_check_tau(t) for t in taus]
     counts = [0] * len(taus)
-    full = kind.is_full
-    batch = max(1, min(trials, _BATCH_CELLS // (n_cut + m_ref)))
-    done = 0
-    while done < trials:
-        size = min(batch, trials - done)
-        xs = s_cut.exponentials(n_cut * size, start=n_cut * done)
-        sum_x = xs.reshape(size, n_cut).sum(axis=1)
-        ys = s_ref.exponentials(m_ref * size, start=m_ref * done).reshape(size, m_ref)
+    for xs, ys in _exponential_batches(base, n_cut, m_ref, trials):
+        sum_x = xs.sum(axis=1)
         sum_y = ys.sum(axis=1)
-        if full:
+        if kind.is_full:
             y_min = ys.min(axis=1)
             for i, tau in enumerate(taus):
                 rhs = (n_cut - m_ref * tau) * y_min + tau * sum_y
@@ -160,7 +185,6 @@ def _mc_dual_counts(kind: DetectorKind, n_cut: int, m_ref: int,
         else:
             for i, tau in enumerate(taus):
                 counts[i] += int(np.count_nonzero(sum_x > tau * sum_y))
-        done += size
     return counts
 
 
@@ -312,24 +336,9 @@ class AdjudicationReport:
             "trials": self.trials,
             "tol": self.tol,
             "points": [
-                {
-                    "n_cut": p.n_cut,
-                    "m_ref": p.m_ref,
-                    "tau": p.tau,
-                    "mc_estimate": p.mc.estimate,
-                    "mc_ci_low": p.mc.ci_low,
-                    "mc_ci_high": p.mc.ci_high,
-                    "mc_successes": p.mc.successes,
-                    "quadrature": p.quadrature,
-                    "quadrature_excess_m": p.quadrature_excess_m,
-                    "paper": p.paper,
-                    "candidate": p.candidate,
-                    "oracle_consistent": p.oracle_consistent,
-                    "paper_verdict": p.paper_verdict,
-                    "candidate_verdict": p.candidate_verdict,
-                    "discriminates": p.discriminates,
-                    "insufficient_precision": p.insufficient_precision,
-                }
+                {key: (getattr(p.mc, key.removeprefix("mc_"))
+                       if key.startswith("mc_") else getattr(p, key))
+                 for key in _POINT_FIELDS}
                 for p in self.points
             ],
             "internally_consistent": self.internally_consistent,
@@ -347,40 +356,49 @@ class AdjudicationReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AdjudicationReport":
+        """Rebuild a report; ParameterDomainError if ``doc`` is not one."""
+        if not isinstance(doc, dict):
+            raise ParameterDomainError("report must be a JSON object")
         if doc.get("schema_version") != _REPORT_SCHEMA_VERSION:
             raise ParameterDomainError(
                 f"unsupported report schema: {doc.get('schema_version')!r}"
             )
-        detector = DetectorKind(doc["detector"])
+        _check_fields(doc, _REPORT_FIELDS, "report")
+        try:
+            detector = DetectorKind(doc["detector"])
+            variant = doc["validated_variant"]
+            variant = None if variant is None else PfaFormulaVariant(variant)
+        except ValueError as exc:
+            raise ParameterDomainError(f"report: {exc}") from None
         seed, trials = doc["seed"], doc["trials"]
         points = []
         for p in doc["points"]:
-            mc = EstimateWithCI(
-                estimate=p["mc_estimate"], ci_low=p["mc_ci_low"],
-                ci_high=p["mc_ci_high"], trials=trials, seed=seed,
-                successes=p["mc_successes"],
-            )
+            _check_fields(p, _POINT_FIELDS, "report point")
+            mc = {k.removeprefix("mc_"): p[k]
+                  for k in _POINT_FIELDS if k.startswith("mc_")}
+            rest = {k: p[k] for k in _POINT_FIELDS if not k.startswith("mc_")}
             points.append(GridPointRecord(
-                n_cut=p["n_cut"], m_ref=p["m_ref"], tau=p["tau"], mc=mc,
-                quadrature=p["quadrature"],
-                quadrature_excess_m=p["quadrature_excess_m"],
-                paper=p["paper"], candidate=p["candidate"],
-                oracle_consistent=p["oracle_consistent"],
-                paper_verdict=p["paper_verdict"],
-                candidate_verdict=p["candidate_verdict"],
-                discriminates=p["discriminates"],
-                insufficient_precision=p["insufficient_precision"],
-            ))
-        variant = doc["validated_variant"]
+                mc=EstimateWithCI(trials=trials, seed=seed, **mc), **rest))
         return cls(
             detector=detector, seed=seed, trials=trials, tol=doc["tol"],
             points=tuple(points),
             internally_consistent=doc["internally_consistent"],
             insufficient_precision=doc["insufficient_precision"],
-            validated_variant=(None if variant is None
-                               else PfaFormulaVariant(variant)),
-            verdict=doc["verdict"],
+            validated_variant=variant, verdict=doc["verdict"],
         )
+
+
+def _check_fields(doc, types: dict, what: str) -> None:
+    """Raise ParameterDomainError unless ``doc`` is a JSON object holding
+    every key of ``types`` with a value of one of its types."""
+    if not isinstance(doc, dict):
+        raise ParameterDomainError(f"{what} must be a JSON object")
+    for key, allowed in types.items():
+        if key not in doc:
+            raise ParameterDomainError(f"{what} lacks {key!r}")
+        if type(doc[key]) not in allowed:
+            raise ParameterDomainError(
+                f"{what} field {key!r} cannot be {doc[key]!r}")
 
 
 def default_grid(kind: DetectorKind) -> tuple[tuple[int, int, float], ...]:
@@ -391,22 +409,29 @@ def default_grid(kind: DetectorKind) -> tuple[tuple[int, int, float], ...]:
                  for t in DEFAULT_TAUS)
 
 
-def _closed_forms(kind: DetectorKind, n: int, m: int, tau: float,
-                  ) -> tuple[Optional[float], Optional[float]]:
-    """(paper, candidate) values; candidate is None where only one form
-    exists, both are None where the closed forms refuse the configuration."""
+def _closed_form(kind: DetectorKind, n: int, m: int, tau: float,
+                 variant: Optional[PfaFormulaVariant]) -> Optional[float]:
+    """The closed form of ``kind`` in ``variant`` (the partial kinds have one
+    form and ignore it); None where it refuses the configuration."""
     if kind is DetectorKind.GM_PARTIAL_SINGLE:
-        return _pfa.pfa_gm_partial_single(m, tau), None
+        return _pfa.pfa_gm_partial_single(m, tau)
     if kind is DetectorKind.GM_PARTIAL_MULTI:
-        return _pfa.pfa_gm_partial_multi(n, m, tau), None
+        return _pfa.pfa_gm_partial_multi(n, m, tau)
     if kind is DetectorKind.GM_FULL_SINGLE:
-        return (_pfa.pfa_gm_full_single(m, tau, PfaFormulaVariant.PAPER),
-                _pfa.pfa_gm_full_single(m, tau, PfaFormulaVariant.CANDIDATE))
+        return _pfa.pfa_gm_full_single(m, tau, variant)
     try:
-        return (_pfa.pfa_gm_full_multi(n, m, tau, PfaFormulaVariant.PAPER),
-                _pfa.pfa_gm_full_multi(n, m, tau, PfaFormulaVariant.CANDIDATE))
+        return _pfa.pfa_gm_full_multi(n, m, tau, variant)
     except UnsupportedConfigurationError:
-        return None, None
+        return None
+
+
+def _quadrature(kind: DetectorKind, n: int, m: int, tau: float, tol: float,
+                excess_shape: ExcessShape = ExcessShape.M_MINUS_ONE) -> float:
+    """The quadrature oracle of ``kind``; ``excess_shape`` applies to the
+    minimum-anchored kinds only."""
+    if kind.is_full:
+        return quadrature_pfa_full_multi(n, m, tau, tol, excess_shape)
+    return quadrature_pfa_partial_multi(n, m, tau, tol)
 
 
 def adjudicate(kind: DetectorKind,
@@ -447,15 +472,12 @@ def adjudicate(kind: DetectorKind,
     points = []
     for n, m, tau in grid:
         mc = mc_by_point[(n, m, tau)]
-        if kind.is_full:
-            quad_ref = quadrature_pfa_full_multi(n, m, tau, tol,
-                                                 ExcessShape.M_MINUS_ONE)
-            quad_alt = quadrature_pfa_full_multi(n, m, tau, tol,
-                                                 ExcessShape.M)
-        else:
-            quad_ref = quadrature_pfa_partial_multi(n, m, tau, tol)
-            quad_alt = None
-        paper, candidate = _closed_forms(kind, n, m, tau)
+        quad_ref = _quadrature(kind, n, m, tau, tol)
+        quad_alt = (_quadrature(kind, n, m, tau, tol, ExcessShape.M)
+                    if kind.is_full else None)
+        paper = _closed_form(kind, n, m, tau, PfaFormulaVariant.PAPER)
+        candidate = (_closed_form(kind, n, m, tau, PfaFormulaVariant.CANDIDATE)
+                     if kind.is_full and paper is not None else None)
 
         band = 4.0 * mc.sigma
         lo, hi = mc.estimate - band, mc.estimate + band
@@ -540,19 +562,9 @@ def validated_pfa(kind: DetectorKind, report: AdjudicationReport,
     if kind.is_single and n != 1:
         raise ParameterDomainError(f"{kind.value} requires n_cut == 1")
 
-    if kind is DetectorKind.GM_PARTIAL_SINGLE:
-        return _pfa.pfa_gm_partial_single(m, tau)
-
     variant = report.validated_variant
-    if variant is not None:
-        if kind is DetectorKind.GM_PARTIAL_MULTI:
-            return _pfa.pfa_gm_partial_multi(n, m, tau)
-        if kind is DetectorKind.GM_FULL_SINGLE:
-            return _pfa.pfa_gm_full_single(m, tau, variant)
-        if m >= 2:
-            return _pfa.pfa_gm_full_multi(n, m, tau, variant)
-
-    if kind.is_full:
-        return quadrature_pfa_full_multi(n, m, tau, tol,
-                                         ExcessShape.M_MINUS_ONE)
-    return quadrature_pfa_partial_multi(n, m, tau, tol)
+    if variant is not None or kind is DetectorKind.GM_PARTIAL_SINGLE:
+        value = _closed_form(kind, n, m, tau, variant)
+        if value is not None:
+            return value
+    return _quadrature(kind, n, m, tau, tol)

@@ -22,8 +22,8 @@ from .clutter import ParetoParams
 from .detectors import (DetectorKind, margins_full_multi,
                         margins_partial_multi)
 from .errors import ParameterDomainError
-from .oracles import (_BATCH_CELLS, EstimateWithCI, _check_seed,
-                      _check_trials, _make_estimate)
+from .oracles import (EstimateWithCI, _check_seed, _check_trials,
+                      _exponential_batches, _make_estimate)
 from .pfa import _check_count, _check_tau
 from .rng import RandomStream, stable_u64
 
@@ -78,29 +78,21 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
         raise ParameterDomainError("detector_scale must be positive")
 
     base = RandomStream(seed, stream_id).child("pareto", kind.value, n, m)
-    s_cut, s_ref = base.child("cut"), base.child("ref")
     inv_shape = 1.0 / params.shape
     log_scale = np.log(params.scale)
 
     successes = 0
-    batch = max(1, min(trials, _BATCH_CELLS // (n + m)))
-    done = 0
-    while done < trials:
-        size = min(batch, trials - done)
-        # log Pareto = log(beta) + Exp(1)/alpha; the margins only need logs.
-        log_cut = (log_scale
-                   + inv_shape * s_cut.exponentials(n * size, start=n * done)
-                   ).reshape(size, n)
-        log_ref = (log_scale
-                   + inv_shape * s_ref.exponentials(m * size, start=m * done)
-                   ).reshape(size, m)
-        cut, ref = np.exp(log_cut), np.exp(log_ref)
+    for cut, ref in _exponential_batches(base, n, m, trials):
+        # Pareto = exp(log(beta) + Exp(1)/alpha), formed in place.
+        for cells in (cut, ref):
+            cells *= inv_shape
+            cells += log_scale
+            np.exp(cells, out=cells)
         if kind.is_full:
             margins = margins_full_multi(cut, ref, tau)
         else:
             margins = margins_partial_multi(cut, ref, tau, scale)
         successes += int(np.count_nonzero(margins > 0.0))
-        done += size
     return _make_estimate(successes, trials, seed)
 
 

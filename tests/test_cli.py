@@ -41,6 +41,13 @@ def verify_file(tmp_path_factory):
     return path, code, out.getvalue()
 
 
+@pytest.fixture
+def no_adjudication(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adjudicate must not run")
+    monkeypatch.setattr("gmcfar.cli.adjudicate", refuse)
+
+
 class TestPfaCommand:
     def test_validated_partial_multi(self, capsys, verify_file):
         path, _, _ = verify_file
@@ -70,6 +77,19 @@ class TestPfaCommand:
                                "--variant", "paper")
         assert code == 0
         assert float(csv_rows(out)[1][5]) == 0.5
+
+    @pytest.mark.parametrize("window", [["--kind", "partial-single", "--n", "8"],
+                                        ["--kind", "partial-multi", "--n", "2",
+                                         "--m", "4"]])
+    def test_partial_kinds_answer_candidate_with_their_form(self, capsys,
+                                                            window):
+        values = []
+        for variant in ("paper", "candidate"):
+            code, out, _ = run_cli(capsys, "pfa", *window, "--tau", "0.7",
+                                   "--variant", variant)
+            assert code == 0
+            values.append(csv_rows(out)[1][5])
+        assert values[0] == values[1]
 
     def test_all_variants_full_multi(self, capsys):
         code, out, _ = run_cli(capsys, "pfa", "--kind", "full-multi",
@@ -139,6 +159,20 @@ class TestPfaCommand:
         assert code == 2
         assert "cannot read report" in err
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"reports": []},
+        {"schema_version": 1, "detector": "full-multi"},
+    ], ids=["list", "reports-list", "no-seed"])
+    def test_malformed_report_exits_two(self, capsys, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "pfa", "--kind", "full-multi",
+                               "--n", "2", "--m", "4", "--tau", "1.0",
+                               "--report", str(bad))
+        assert code == 2
+        assert err.startswith("gmcfar: ")
+
     def test_tampered_report_exits_one(self, capsys, tmp_path, verify_file):
         path, _, _ = verify_file
         doc = json.loads(path.read_text())["reports"]["full-multi"]
@@ -153,7 +187,7 @@ class TestPfaCommand:
 
 
 class TestThresholdCommand:
-    def test_partial_single_closed_form(self, capsys):
+    def test_partial_single_closed_form(self, capsys, no_adjudication):
         code, out, _ = run_cli(capsys, "threshold", "--kind", "partial-single",
                                "--n", "8", "--pfa", "1e-4")
         assert code == 0
@@ -221,7 +255,7 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
-    def test_tau_sweep_matches_closed_form(self, capsys):
+    def test_tau_sweep_matches_closed_form(self, capsys, no_adjudication):
         code, out, _ = run_cli(capsys, "sweep", "--kind", "partial-single",
                                "--n", "4", "--tau-range", "0.5:2.5",
                                "--step", "0.5")
@@ -235,7 +269,7 @@ class TestSweepCommand:
         pfas = [p for _, p in values]
         assert all(a > b for a, b in zip(pfas, pfas[1:]))
 
-    def test_pfa_sweep_round_trips(self, capsys):
+    def test_pfa_sweep_round_trips(self, capsys, no_adjudication):
         code, out, _ = run_cli(capsys, "sweep", "--kind", "partial-single",
                                "--n", "8", "--pfa-range", "1e-2:1e-6")
         assert code == 0

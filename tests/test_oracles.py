@@ -140,6 +140,20 @@ class TestMcDualPfa:
             mc_dual_pfa(DetectorKind.GM_FULL_MULTI, 2, 4, -1.0, trials=10)
 
 
+    @pytest.mark.parametrize("kind, n, m", [
+        (DetectorKind.GM_PARTIAL_SINGLE, 1, 8),
+        (DetectorKind.GM_FULL_SINGLE, 1, 8),
+        (DetectorKind.GM_PARTIAL_MULTI, 2, 8),
+        (DetectorKind.GM_FULL_MULTI, 2, 8),
+    ])
+    def test_batch_size_does_not_change_counts(self, monkeypatch, kind, n, m):
+        kw = dict(tau=0.5, trials=10_000, seed=6)
+        want = mc_dual_pfa(kind, n, m, **kw).successes
+        # 370 or 333 windows a batch, then an uneven last batch of 10.
+        monkeypatch.setattr("gmcfar.oracles._BATCH_CELLS", 3337)
+        assert mc_dual_pfa(kind, n, m, **kw).successes == want
+
+
 class TestQuadraturePartialMulti:
     def test_hand_value(self):
         got = quadrature_pfa_partial_multi(2, 4, 1.0)
@@ -256,6 +270,26 @@ class TestAdjudicate:
         doc["schema_version"] = 99
         with pytest.raises(ParameterDomainError):
             AdjudicationReport.from_dict(doc)
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: [doc],
+        lambda doc: {k: v for k, v in doc.items() if k != "seed"},
+        lambda doc: {**doc, "trials": True},
+        lambda doc: {**doc, "seed": "0"},
+        lambda doc: {**doc, "points": {}},
+        lambda doc: {**doc, "detector": "bogus"},
+        lambda doc: {**doc, "validated_variant": "bogus"},
+        lambda doc: {**doc, "points": [7]},
+        lambda doc: {**doc, "points": [{**doc["points"][0], "tau": "1"}]},
+        lambda doc: {**doc, "points": [{k: v for k, v in doc["points"][0].items()
+                                        if k != "mc_successes"}]},
+    ], ids=["list", "no-seed", "bool-trials", "str-seed", "points-object",
+            "unknown-detector", "unknown-variant", "point-not-object",
+            "str-tau", "no-mc-successes"])
+    def test_malformed_dict_rejected(self, low_trials_report, damage):
+        doc = json.loads(low_trials_report.to_json())
+        with pytest.raises(ParameterDomainError):
+            AdjudicationReport.from_dict(damage(doc))
 
     def test_grid_validation(self):
         with pytest.raises(ParameterDomainError):

@@ -154,9 +154,8 @@ class TestPartialMulti:
         assert math.isfinite(tiny)
         assert 0.0 <= tiny < 1e-300
 
-    def test_log_fallback_matches_linear_path(self):
-        # tau large enough that the leading term underflows the linear path
-        # for big m, but small cases agree across both routes.
+    def test_small_sum_matches_raw_terms(self):
+        # The scaled recurrence reproduces the printed sum term by term.
         direct = pfa_gm_partial_multi(3, 8, 2.0)
         total = sum(
             math.comb(8 + l - 1, l) * 2.0 ** l / 3.0 ** (8 + l)

@@ -89,6 +89,18 @@ class TestEmpiricalPfa:
                           trials=10, detector_scale=0.0)
 
 
+    @pytest.mark.parametrize("kind, n", [(DetectorKind.GM_PARTIAL_MULTI, 2),
+                                         (DetectorKind.GM_FULL_MULTI, 2),
+                                         (DetectorKind.GM_FULL_SINGLE, 1)])
+    def test_batch_size_does_not_change_counts(self, monkeypatch, kind, n):
+        kw = dict(params=PARAMS, trials=10_000, seed=6)
+        want = empirical_pfa(kind, n, 8, 1.0, **kw).successes
+        # 333 or 370 windows a batch, then an uneven last batch of 10.
+        for module in ("gmcfar.oracles", "gmcfar.simulate"):
+            monkeypatch.setattr(f"{module}._BATCH_CELLS", 3337, raising=False)
+        assert empirical_pfa(kind, n, 8, 1.0, **kw).successes == want
+
+
 class TestSweepSpec:
     def test_grid_coerced_to_tuple(self):
         spec = SweepSpec(DetectorKind.GM_FULL_MULTI, 2, 8, 1.0,
