@@ -372,13 +372,17 @@ def _cmd_sweep(args) -> int:
         raise ParameterDomainError(
             "exactly one of --tau-range or --pfa-range is required"
         )
-    pfa_of, solve = _pfa_and_solver(args, kind, n_cut, m_ref)
+    # Parse the range before _pfa_and_solver, which may run an adjudication.
     if args.tau_range is not None:
-        rows = [(tau, pfa_of(tau)) for tau in _sweep_taus(args)]
+        taus = _sweep_taus(args)
+        pfa_of, _ = _pfa_and_solver(args, kind, n_cut, m_ref)
+        rows = [(tau, pfa_of(tau)) for tau in taus]
         header = ["tau", "pfa"]
     else:
+        targets = _sweep_targets(args)
+        _, solve = _pfa_and_solver(args, kind, n_cut, m_ref)
         rows = [(target, solve(SolverConfig(target_pfa=target)))
-                for target in _sweep_targets(args)]
+                for target in targets]
         header = ["pfa", "tau"]
 
     if args.format == "json":

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc
+from scipy.special.cython_special import gammaincc
 
 from . import pfa as _pfa
 from .detectors import DetectorKind
@@ -35,8 +35,10 @@ from .rng import RandomStream
 # 95% two-sided normal quantile used by the Wilson interval.
 _Z95 = 1.959963984540054
 
-# Cap on scratch cells per Monte Carlo batch (keeps memory under ~70 MB).
-_BATCH_CELLS = 1 << 23
+# Cells per Monte Carlo batch: 2 MiB of doubles, sized for cache so that a
+# batch's draw, reductions and tau comparisons stay there.  Results do not
+# depend on it.
+_BATCH_CELLS = 1 << 18
 
 # Verdicts below this trial count are withheld: the preconditions for
 # separating candidate forms assume at least 10**6 trials.
@@ -271,7 +273,7 @@ def quadrature_pfa_full_multi(n_cut: int, m_ref: int, tau, tol: float = 1e-10,
 
     def inner(t: float) -> float:
         if k == 0 or tau == 0.0:
-            return float(gammaincc(n, n * t))
+            return gammaincc(n, n * t)
 
         def w_integrand(w: float) -> float:
             if w <= 0.0:

@@ -93,5 +93,8 @@ class RandomStream:
 
     def exponentials(self, count: int, start: int = 0) -> np.ndarray:
         """Unit-mean exponential variates by inverse CDF, one per stream index."""
+        # -log1p(-u), computed in place on the freshly drawn uniforms.
         u = self.uniforms(count, start)
-        return -np.log1p(-u)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        return np.negative(u, out=u)

@@ -309,6 +309,17 @@ class TestSweepCommand:
                              "--step", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("range_args", [
+        ("--tau-range", "1:2:3", "--step", "0.5"),
+        ("--pfa-range", "1e-2:1e-4:1"),
+    ])
+    def test_bad_range_exits_before_adjudication(self, capsys, range_args,
+                                                 no_adjudication):
+        code, _, err = run_cli(capsys, "sweep", "--kind", "full-multi",
+                               "--n", "4", "--m", "16", *range_args)
+        assert code == 2
+        assert err.startswith("gmcfar:")
+
 
 class TestSampleCommand:
     def test_samples_above_scale(self, capsys):

@@ -5,7 +5,9 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
+import scipy.special
 
 from gmcfar import (AdjudicationReport, DetectorKind, EstimateWithCI,
                     ExcessShape, InconsistentReportError,
@@ -15,6 +17,7 @@ from gmcfar import (AdjudicationReport, DetectorKind, EstimateWithCI,
                     pfa_gm_partial_single, quadrature_pfa_full_multi,
                     quadrature_pfa_partial_multi, validated_pfa,
                     wilson_interval)
+from gmcfar import oracles
 
 Z95 = 1.959963984540054
 
@@ -153,6 +156,16 @@ class TestMcDualPfa:
         monkeypatch.setattr("gmcfar.oracles._BATCH_CELLS", 3337)
         assert mc_dual_pfa(kind, n, m, **kw).successes == want
 
+    @pytest.mark.parametrize("kind, n", [(DetectorKind.GM_PARTIAL_MULTI, 2),
+                                         (DetectorKind.GM_FULL_MULTI, 2),
+                                         (DetectorKind.GM_FULL_SINGLE, 1)])
+    def test_window_wider_than_batch(self, monkeypatch, kind, n):
+        kw = dict(tau=0.5, trials=1000, seed=6)
+        want = mc_dual_pfa(kind, n, 8 - n, **kw).successes
+        # Fewer cells than one window: every batch holds a single row.
+        monkeypatch.setattr("gmcfar.oracles._BATCH_CELLS", 5)
+        assert mc_dual_pfa(kind, n, 8 - n, **kw).successes == want
+
 
 class TestQuadraturePartialMulti:
     def test_hand_value(self):
@@ -181,6 +194,20 @@ class TestQuadraturePartialMulti:
         for bad in (0.0, -1e-9, 1e-3):
             with pytest.raises(ParameterDomainError):
                 quadrature_pfa_partial_multi(2, 4, 1.0, tol=bad)
+
+
+class TestScalarGammaTail:
+    def test_equals_scipy_ufunc_exactly(self):
+        xs = [0.0, *np.logspace(-6, 3, 181).tolist(), math.inf]
+        for a in range(1, 65):
+            for x in xs:
+                assert oracles.gammaincc(a, x) == scipy.special.gammaincc(a, x), \
+                    (a, x)
+
+    def test_full_multi_degenerate_branch_returns_float(self):
+        for m, tau in ((1, 0.7), (4, 0.0)):
+            got = quadrature_pfa_full_multi(2, m, tau)
+            assert type(got) is float
 
 
 class TestQuadratureFullMulti:

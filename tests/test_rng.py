@@ -36,6 +36,11 @@ def test_exponentials_match_uniform_transform():
     e = stream.exponentials(1000)
     assert np.allclose(e, -np.log1p(-u), rtol=0, atol=0)
     assert (e >= 0).all()
+    # An odd offset and count: exactly the out-of-place transform, and the
+    # caller's uniforms are left as drawn.
+    assert np.array_equal(stream.exponentials(333, start=7),
+                          -np.log1p(-u[7:340]))
+    assert np.array_equal(u, stream.uniforms(1000))
 
 
 def test_exponential_slice_addressing():

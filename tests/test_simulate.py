@@ -100,6 +100,16 @@ class TestEmpiricalPfa:
             monkeypatch.setattr(f"{module}._BATCH_CELLS", 3337, raising=False)
         assert empirical_pfa(kind, n, 8, 1.0, **kw).successes == want
 
+    @pytest.mark.parametrize("kind, n", [(DetectorKind.GM_PARTIAL_MULTI, 2),
+                                         (DetectorKind.GM_FULL_MULTI, 2),
+                                         (DetectorKind.GM_FULL_SINGLE, 1)])
+    def test_window_wider_than_batch(self, monkeypatch, kind, n):
+        kw = dict(params=PARAMS, trials=1000, seed=6)
+        want = empirical_pfa(kind, n, 8 - n, 1.0, **kw).successes
+        # Fewer cells than one window: every batch holds a single row.
+        monkeypatch.setattr("gmcfar.oracles._BATCH_CELLS", 5)
+        assert empirical_pfa(kind, n, 8 - n, 1.0, **kw).successes == want
+
 
 class TestSweepSpec:
     def test_grid_coerced_to_tuple(self):
