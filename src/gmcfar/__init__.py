@@ -15,8 +15,7 @@ Library layout:
 """
 
 from .clutter import (ParetoParams, dual_to_pareto, pareto_cdf,
-                      pareto_quantile, pareto_to_dual,
-                      sample_exponential_unit, sample_pareto)
+                      pareto_quantile, pareto_to_dual, sample_pareto)
 from .detectors import (Decision, DetectorKind, Outcome, Window,
                         gm_full_multi, gm_full_single, gm_partial_multi,
                         gm_partial_single, margins_full_multi,
@@ -29,7 +28,7 @@ from .oracles import (AdjudicationReport, EstimateWithCI, ExcessShape,
                       GridPointRecord, adjudicate, default_grid, mc_dual_pfa,
                       quadrature_pfa_full_multi, quadrature_pfa_partial_multi,
                       validated_pfa, wilson_interval)
-from .pfa import (PfaFormulaVariant, gamma_tail_poisson_sum, log_binomial,
+from .pfa import (PfaFormulaVariant, gamma_tail_poisson_sum,
                   pfa_gm_full_multi, pfa_gm_full_single, pfa_gm_partial_multi,
                   pfa_gm_partial_single)
 from .rng import RandomStream, stable_u64
@@ -72,7 +71,6 @@ __all__ = [
     "gm_full_single",
     "gm_partial_multi",
     "gm_partial_single",
-    "log_binomial",
     "margins_full_multi",
     "margins_partial_multi",
     "mc_dual_pfa",
@@ -85,7 +83,6 @@ __all__ = [
     "pfa_gm_partial_single",
     "quadrature_pfa_full_multi",
     "quadrature_pfa_partial_multi",
-    "sample_exponential_unit",
     "sample_pareto",
     "solve_tau_numeric",
     "solve_tau_partial_single",

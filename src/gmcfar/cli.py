@@ -24,8 +24,9 @@ from .detectors import DetectorKind
 from .errors import (GmCfarError, InconsistentReportError,
                      NumericalFailureError, ParameterDomainError,
                      UnsupportedConfigurationError)
-from .oracles import (DEFAULT_TAUS, AdjudicationReport, PfaFormulaVariant,
-                      _closed_form, _quadrature, adjudicate, validated_pfa)
+from .oracles import (DEFAULT_M_REF, DEFAULT_N_CUT, DEFAULT_TAUS,
+                      AdjudicationReport, PfaFormulaVariant, _closed_form,
+                      _quadrature, adjudicate, default_grid, validated_pfa)
 from .pfa import (pfa_gm_full_multi, pfa_gm_full_single,
                   pfa_gm_partial_multi, pfa_gm_partial_single)
 from .rng import RandomStream
@@ -233,13 +234,6 @@ def _reduction_checks(m_grid, tau_grid) -> dict:
                                 PfaFormulaVariant.CANDIDATE):
                     pairs.append((pfa_gm_full_multi(1, m, tau, variant),
                                   pfa_gm_full_single(m, tau, variant)))
-                front = m / (m + 1.0)
-                pairs.append((pfa_gm_full_multi(1, m, tau,
-                                                PfaFormulaVariant.PAPER),
-                              front * (1.0 + tau) ** (-m)))
-                pairs.append((pfa_gm_full_multi(1, m, tau,
-                                                PfaFormulaVariant.CANDIDATE),
-                              front * (1.0 + tau) ** (-(m - 1))))
             for got, want in pairs:
                 worst = max(worst, abs(got - want) / want)
     return {"max_rel_error": worst, "rtol": _REDUCTION_RTOL,
@@ -254,8 +248,7 @@ def _cmd_verify(args) -> int:
     reports = {}
     summary = []
     for kind in DetectorKind:
-        n_values = (1,) if kind.is_single else n_grid
-        grid = [(n, m, t) for n in n_values for m in m_grid for t in tau_grid]
+        grid = default_grid(kind, n_grid, m_grid, tau_grid)
         report = adjudicate(kind, grid, trials=args.trials, seed=args.seed,
                             tol=args.tol)
         reports[kind.value] = report
@@ -493,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tol", type=float, default=1e-10)
     p_ver.add_argument("--out", default="gmcfar-verify.json",
                        help="path for the adjudication report JSON")
-    p_ver.add_argument("--n-grid", default="1,2,4")
-    p_ver.add_argument("--m-grid", default="1,2,4,8,16")
-    p_ver.add_argument("--tau-grid", default="0.1,0.5,1,2,5")
+    p_ver.add_argument("--n-grid", default=",".join(map(str, DEFAULT_N_CUT)))
+    p_ver.add_argument("--m-grid", default=",".join(map(str, DEFAULT_M_REF)))
+    p_ver.add_argument("--tau-grid", default=",".join(map(str, DEFAULT_TAUS)))
     p_ver.set_defaults(func=_cmd_verify)
 
     p_swp = sub.add_parser("sweep", parents=[common],

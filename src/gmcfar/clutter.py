@@ -77,11 +77,6 @@ def pareto_quantile(params: ParetoParams, u):
     return _scalar_like(np.exp(log_q), u)
 
 
-def sample_exponential_unit(stream: RandomStream, count: int) -> np.ndarray:
-    """i.i.d. unit-mean exponentials, deterministic given the stream."""
-    return stream.exponentials(count)
-
-
 def dual_to_pareto(params: ParetoParams, x_star):
     """Map unit exponentials to Pareto variates: scale * exp(x_star / shape)."""
     arr = _as_float_array(x_star, "x_star")

@@ -149,6 +149,15 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _check_window(kind: DetectorKind, n_cut, m_ref) -> tuple[int, int]:
+    """Validated (n_cut, m_ref); the single-pulse kinds have one cut cell."""
+    n = _check_count("n_cut", n_cut)
+    m = _check_count("m_ref", m_ref)
+    if kind.is_single and n != 1:
+        raise ParameterDomainError(f"{kind.value} requires n_cut == 1")
+    return n, m
+
+
 def _exponential_batches(base: RandomStream, n: int, m: int, trials: int):
     """Unit exponentials for ``trials`` windows of n + m cells, yielded as
     ``(size, n)`` and ``(size, m)`` arrays from the ``cut`` and ``ref``
@@ -199,12 +208,9 @@ def mc_dual_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     sum X* > tau * sum Y*, the minimum-anchored rules when
     sum X* > (N - M tau) Y*min + tau * sum Y*.
     """
-    n_cut = _check_count("n_cut", n_cut)
-    m_ref = _check_count("m_ref", m_ref)
+    n_cut, m_ref = _check_window(kind, n_cut, m_ref)
     trials = _check_trials(trials)
     seed = _check_seed(seed)
-    if kind.is_single and n_cut != 1:
-        raise ParameterDomainError(f"{kind.value} requires n_cut == 1")
     counts = _mc_dual_counts(kind, n_cut, m_ref, [tau], trials, seed)
     return _make_estimate(counts[0], trials, seed)
 
@@ -229,6 +235,21 @@ def _quad_checked(func, epsrel: float, context: str) -> float:
     return float(out[0])
 
 
+def _gamma_mixture_tail(n: int, k: int, shift: float, tau: float,
+                        epsrel: float, context: str) -> float:
+    """E[Q(n, shift + tau W)] over W ~ gamma(k, 1) with k >= 1: the scipy
+    gamma tail Q integrated against the gamma(k) density."""
+    lg_k = math.lgamma(k)
+
+    def integrand(w: float) -> float:
+        if w <= 0.0:
+            return 0.0
+        return math.exp((k - 1) * math.log(w) - w - lg_k) \
+            * gammaincc(n, shift + tau * w)
+
+    return _quad_checked(integrand, epsrel, context)
+
+
 def quadrature_pfa_partial_multi(n_cut: int, m_ref: int, tau,
                                  tol: float = 1e-10) -> float:
     """P(W1 > tau W2), W1 ~ gamma(n_cut, 1), W2 ~ gamma(m_ref, 1), by
@@ -239,15 +260,8 @@ def quadrature_pfa_partial_multi(n_cut: int, m_ref: int, tau,
     tol = _check_tol(tol)
     if tau == 0.0:
         return 1.0
-    lg_m = math.lgamma(m)
-
-    def integrand(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return math.exp((m - 1) * math.log(t) - t - lg_m) * gammaincc(n, tau * t)
-
-    value = _quad_checked(integrand, tol,
-                          f"partial-multi n={n} m={m} tau={tau}")
+    value = _gamma_mixture_tail(n, m, 0.0, tau, tol,
+                                f"partial-multi n={n} m={m} tau={tau}")
     return min(max(value, 0.0), 1.0)
 
 
@@ -268,21 +282,12 @@ def quadrature_pfa_full_multi(n_cut: int, m_ref: int, tau, tol: float = 1e-10,
     if not isinstance(excess_shape, ExcessShape):
         raise ParameterDomainError("excess_shape must be an ExcessShape")
     k = m - 1 if excess_shape is ExcessShape.M_MINUS_ONE else m
-    inner_rel = tol / 50.0
-    lg_k = math.lgamma(k) if k >= 1 else 0.0
 
     def inner(t: float) -> float:
         if k == 0 or tau == 0.0:
             return gammaincc(n, n * t)
-
-        def w_integrand(w: float) -> float:
-            if w <= 0.0:
-                return 0.0
-            return math.exp((k - 1) * math.log(w) - w - lg_k) \
-                * gammaincc(n, n * t + tau * w)
-
-        return _quad_checked(w_integrand, inner_rel,
-                             f"full-multi inner n={n} m={m} tau={tau}")
+        return _gamma_mixture_tail(n, k, n * t, tau, tol / 50.0,
+                                   f"full-multi inner n={n} m={m} tau={tau}")
 
     def outer(t: float) -> float:
         return m * math.exp(-m * t) * inner(t)
@@ -403,12 +408,15 @@ def _check_fields(doc, types: dict, what: str) -> None:
                 f"{what} field {key!r} cannot be {doc[key]!r}")
 
 
-def default_grid(kind: DetectorKind) -> tuple[tuple[int, int, float], ...]:
-    """Adjudication grid: single-pulse kinds sweep the reference length,
-    multi-pulse kinds sweep both window sizes."""
-    n_values = (1,) if kind.is_single else DEFAULT_N_CUT
-    return tuple((n, m, t) for n in n_values for m in DEFAULT_M_REF
-                 for t in DEFAULT_TAUS)
+def default_grid(kind: DetectorKind, n_cut: Sequence[int] = DEFAULT_N_CUT,
+                 m_ref: Sequence[int] = DEFAULT_M_REF,
+                 taus: Sequence[float] = DEFAULT_TAUS,
+                 ) -> tuple[tuple[int, int, float], ...]:
+    """Adjudication grid over the given values: single-pulse kinds sweep the
+    reference length (ignoring ``n_cut``), multi-pulse kinds sweep both
+    window sizes."""
+    n_values = (1,) if kind.is_single else n_cut
+    return tuple((n, m, t) for n in n_values for m in m_ref for t in taus)
 
 
 def _closed_form(kind: DetectorKind, n: int, m: int, tau: float,
@@ -449,15 +457,12 @@ def adjudicate(kind: DetectorKind,
     """
     if grid is None:
         grid = default_grid(kind)
-    grid = [( _check_count("n_cut", n), _check_count("m_ref", m), _check_tau(t))
-            for n, m, t in grid]
+    grid = [(*_check_window(kind, n, m), _check_tau(t)) for n, m, t in grid]
     if not grid:
         raise ParameterDomainError("grid must be non-empty")
     trials = _check_trials(trials)
     seed = _check_seed(seed)
     tol = _check_tol(tol)
-    if kind.is_single and any(n != 1 for n, _, _ in grid):
-        raise ParameterDomainError(f"{kind.value} grid requires n_cut == 1")
 
     # One shared-sample MC pass per unique (n, m); tau reuses the draws.
     groups: dict[tuple[int, int], list[float]] = {}
@@ -549,8 +554,7 @@ def validated_pfa(kind: DetectorKind, report: AdjudicationReport,
                   n_cut: int, m_ref: int, tau, tol: float = 1e-10) -> float:
     """Single Pfa entry point: the validated closed form when the report
     names one, otherwise the reference quadrature at ``tol``."""
-    n = _check_count("n_cut", n_cut)
-    m = _check_count("m_ref", m_ref)
+    n, m = _check_window(kind, n_cut, m_ref)
     tau = _check_tau(tau)
     if report.detector is not kind:
         raise ParameterDomainError(
@@ -561,8 +565,6 @@ def validated_pfa(kind: DetectorKind, report: AdjudicationReport,
             f"oracles disagree in the {kind.value} report; "
             "no Pfa value can be trusted from it"
         )
-    if kind.is_single and n != 1:
-        raise ParameterDomainError(f"{kind.value} requires n_cut == 1")
 
     variant = report.validated_variant
     if variant is not None or kind is DetectorKind.GM_PARTIAL_SINGLE:

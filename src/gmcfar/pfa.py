@@ -39,11 +39,10 @@ _NEGLIGIBLE = 2.0 ** -54
 
 
 class PfaFormulaVariant(enum.Enum):
-    """Which closed-form expression (or the quadrature oracle) to evaluate."""
+    """Which closed-form expression to evaluate."""
 
     PAPER = "paper"
     CANDIDATE = "candidate"
-    ORACLE_QUADRATURE = "quadrature"
 
 
 def _check_count(name: str, value, minimum: int = 1) -> int:
@@ -59,6 +58,13 @@ def _check_tau(tau) -> float:
             and math.isfinite(tau) and tau >= 0.0):
         raise ParameterDomainError(f"tau must be finite and >= 0, got {tau!r}")
     return float(tau)
+
+
+def _check_variant(variant) -> None:
+    if not isinstance(variant, PfaFormulaVariant):
+        raise ParameterDomainError(
+            "closed forms accept PAPER or CANDIDATE; use the oracles module for quadrature"
+        )
 
 
 def gamma_tail_poisson_sum(x: float, k: int) -> float:
@@ -91,31 +97,6 @@ def gamma_tail_poisson_sum(x: float, k: int) -> float:
     return math.exp(peak) * math.fsum(math.exp(v - peak) for v in logs)
 
 
-def log_binomial(a: int, b: int) -> float:
-    """Natural log of C(a, b).
-
-    ``b == 0`` follows the empty-product convention C(a, 0) = 1 for any
-    a >= -1; otherwise 0 <= b <= a is required.  Exact integer arithmetic is
-    used while cheap; very large central coefficients switch to an exactly
-    accumulated sum of logs (plain lgamma differences lose digits there).
-    """
-    if not isinstance(a, (int, np.integer)) or not isinstance(b, (int, np.integer)):
-        raise ParameterDomainError("log_binomial arguments must be integers")
-    a, b = int(a), int(b)
-    if b == 0:
-        if a < -1:
-            raise ParameterDomainError(f"C({a}, 0) is outside the supported convention")
-        return 0.0
-    if b < 0 or b > a:
-        raise ParameterDomainError(f"C({a}, {b}) is undefined (need 0 <= b <= a)")
-    short = min(b, a - b)
-    if short <= 2000:
-        return math.log(math.comb(a, b))
-    top = math.fsum(np.log(np.arange(a - short + 1, a + 1, dtype=np.float64)))
-    bottom = math.fsum(np.log(np.arange(1, short + 1, dtype=np.float64)))
-    return top - bottom
-
-
 def pfa_gm_partial_single(n_ref: int, tau: float) -> float:
     """False-alarm probability of the scale-weighted single-pulse rule:
     (1 + tau)**-n_ref."""
@@ -133,14 +114,11 @@ def pfa_gm_full_single(n_ref: int, tau: float, variant: PfaFormulaVariant) -> fl
     """
     n_ref = _check_count("n_ref", n_ref)
     tau = _check_tau(tau)
+    _check_variant(variant)
     front = n_ref / (n_ref + 1.0)
     if variant is PfaFormulaVariant.PAPER:
         return front * (1.0 + tau) ** (-n_ref)
-    if variant is PfaFormulaVariant.CANDIDATE:
-        return front * (1.0 + tau) ** (-(n_ref - 1))
-    raise ParameterDomainError(
-        "closed forms accept PAPER or CANDIDATE; use the oracles module for quadrature"
-    )
+    return front * (1.0 + tau) ** (-(n_ref - 1))
 
 
 def _negbin_sum(a: int, count: int, tau: float, ln_q: float = -math.inf,
@@ -208,10 +186,7 @@ def pfa_gm_full_multi(n_cut: int, m_ref: int, tau: float,
     n = _check_count("n_cut", n_cut)
     m = _check_count("m_ref", m_ref)
     tau = _check_tau(tau)
-    if variant is PfaFormulaVariant.ORACLE_QUADRATURE:
-        raise ParameterDomainError(
-            "closed forms accept PAPER or CANDIDATE; use the oracles module for quadrature"
-        )
+    _check_variant(variant)
     if m < 2:
         raise UnsupportedConfigurationError(
             "closed-form Pfa requires m_ref >= 2; use quadrature_pfa_full_multi "

@@ -23,8 +23,8 @@ from .detectors import (DetectorKind, margins_full_multi,
                         margins_partial_multi)
 from .errors import ParameterDomainError
 from .oracles import (EstimateWithCI, _check_seed, _check_trials,
-                      _exponential_batches, _make_estimate)
-from .pfa import _check_count, _check_tau
+                      _check_window, _exponential_batches, _make_estimate)
+from .pfa import _check_tau
 from .rng import RandomStream, stable_u64
 
 # Pass threshold for the chi-square homogeneity p-value.
@@ -44,16 +44,13 @@ class SweepSpec:
     seed: int
 
     def __post_init__(self):
-        _check_count("n_cut", self.n_cut)
-        _check_count("m_ref", self.m_ref)
+        _check_window(self.kind, self.n_cut, self.m_ref)
         _check_tau(self.tau)
         _check_trials(self.trials)
         _check_seed(self.seed)
         object.__setattr__(self, "params_grid", tuple(self.params_grid))
         if not self.params_grid:
             raise ParameterDomainError("params_grid must be non-empty")
-        if self.kind.is_single and self.n_cut != 1:
-            raise ParameterDomainError(f"{self.kind.value} requires n_cut == 1")
 
 
 def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
@@ -66,13 +63,10 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     ``params.scale`` as the detector's beta unless ``detector_scale``
     overrides it (useful for studying model mismatch).
     """
-    n = _check_count("n_cut", n_cut)
-    m = _check_count("m_ref", m_ref)
+    n, m = _check_window(kind, n_cut, m_ref)
     tau = _check_tau(tau)
     trials = _check_trials(trials)
     seed = _check_seed(seed)
-    if kind.is_single and n != 1:
-        raise ParameterDomainError(f"{kind.value} requires n_cut == 1")
     scale = params.scale if detector_scale is None else float(detector_scale)
     if not scale > 0.0:
         raise ParameterDomainError("detector_scale must be positive")

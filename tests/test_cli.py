@@ -159,14 +159,18 @@ class TestPfaCommand:
         assert code == 2
         assert "cannot read report" in err
 
-    @pytest.mark.parametrize("doc", [
-        [1, 2],
-        {"reports": []},
-        {"schema_version": 1, "detector": "full-multi"},
-    ], ids=["list", "reports-list", "no-seed"])
-    def test_malformed_report_exits_two(self, capsys, tmp_path, doc):
+    @pytest.mark.parametrize("damage", [
+        lambda good: [1, 2],
+        lambda good: {"reports": []},
+        lambda good: {"schema_version": 1, "detector": "full-multi"},
+        lambda good: {**good, "validated_variant": "quadrature"},
+    ], ids=["list", "reports-list", "no-seed", "quadrature-variant"])
+    def test_malformed_report_exits_two(self, capsys, tmp_path, verify_file,
+                                        damage):
+        path, _, _ = verify_file
+        good = json.loads(path.read_text())["reports"]["full-multi"]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(damage(good)))
         code, _, err = run_cli(capsys, "pfa", "--kind", "full-multi",
                                "--n", "2", "--m", "4", "--tau", "1.0",
                                "--report", str(bad))

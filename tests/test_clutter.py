@@ -8,7 +8,7 @@ from scipy.stats import kstest
 
 from gmcfar import (ParameterDomainError, ParetoParams, QuantileOverflowError,
                     RandomStream, dual_to_pareto, pareto_cdf, pareto_quantile,
-                    pareto_to_dual, sample_exponential_unit, sample_pareto)
+                    pareto_to_dual, sample_pareto)
 
 GRID = [ParetoParams(shape, scale)
         for shape in (0.5, 2.0, 5.0, 10.0)
@@ -85,15 +85,6 @@ def test_dual_edges_and_errors():
         dual_to_pareto(params, -0.1)
     with pytest.raises(ParameterDomainError):
         pareto_to_dual(params, 0.99)
-
-
-def test_sample_exponential_unit_moments():
-    stream = RandomStream(seed=4, stream_id=0)
-    e = sample_exponential_unit(stream, 1_000_000)
-    assert abs(e.mean() - 1.0) < 4e-3
-    assert sample_exponential_unit(stream, 0).shape == (0,)
-    again = sample_exponential_unit(RandomStream(seed=4, stream_id=0), 5)
-    assert np.array_equal(again, sample_exponential_unit(stream, 5))
 
 
 def test_sample_pareto_support_and_determinism():

@@ -11,12 +11,12 @@ import scipy.special
 
 from gmcfar import (AdjudicationReport, DetectorKind, EstimateWithCI,
                     ExcessShape, InconsistentReportError,
-                    ParameterDomainError, PfaFormulaVariant, adjudicate,
-                    default_grid, mc_dual_pfa, pfa_gm_full_multi,
-                    pfa_gm_full_single, pfa_gm_partial_multi,
-                    pfa_gm_partial_single, quadrature_pfa_full_multi,
-                    quadrature_pfa_partial_multi, validated_pfa,
-                    wilson_interval)
+                    ParameterDomainError, ParetoParams, PfaFormulaVariant,
+                    SweepSpec, adjudicate, default_grid, empirical_pfa,
+                    mc_dual_pfa, pfa_gm_full_multi, pfa_gm_full_single,
+                    pfa_gm_partial_multi, pfa_gm_partial_single,
+                    quadrature_pfa_full_multi, quadrature_pfa_partial_multi,
+                    validated_pfa, wilson_interval)
 from gmcfar import oracles
 
 Z95 = 1.959963984540054
@@ -306,13 +306,14 @@ class TestAdjudicate:
         lambda doc: {**doc, "points": {}},
         lambda doc: {**doc, "detector": "bogus"},
         lambda doc: {**doc, "validated_variant": "bogus"},
+        lambda doc: {**doc, "validated_variant": "quadrature"},
         lambda doc: {**doc, "points": [7]},
         lambda doc: {**doc, "points": [{**doc["points"][0], "tau": "1"}]},
         lambda doc: {**doc, "points": [{k: v for k, v in doc["points"][0].items()
                                         if k != "mc_successes"}]},
     ], ids=["list", "no-seed", "bool-trials", "str-seed", "points-object",
-            "unknown-detector", "unknown-variant", "point-not-object",
-            "str-tau", "no-mc-successes"])
+            "unknown-detector", "unknown-variant", "quadrature-variant",
+            "point-not-object", "str-tau", "no-mc-successes"])
     def test_malformed_dict_rejected(self, low_trials_report, damage):
         doc = json.loads(low_trials_report.to_json())
         with pytest.raises(ParameterDomainError):
@@ -334,6 +335,32 @@ class TestAdjudicate:
         assert all(n == 1 for n, _, _ in single)
         assert len(multi) == 75
         assert {n for n, _, _ in multi} == {1, 2, 4}
+        # Given values replace the defaults; single kinds keep n_cut == 1.
+        assert default_grid(DetectorKind.GM_PARTIAL_SINGLE, (2, 4), (8,),
+                            (0.5,)) == ((1, 8, 0.5),)
+        assert default_grid(DetectorKind.GM_PARTIAL_MULTI, (2, 4), (8,),
+                            (0.5, 1.0)) == ((2, 8, 0.5), (2, 8, 1.0),
+                                            (4, 8, 0.5), (4, 8, 1.0))
+
+
+_PARAMS = ParetoParams(2.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", [DetectorKind.GM_PARTIAL_SINGLE,
+                                  DetectorKind.GM_FULL_SINGLE],
+                         ids=lambda kind: kind.value)
+@pytest.mark.parametrize("entry", [
+    lambda kind: mc_dual_pfa(kind, 2, 4, 1.0, trials=10),
+    lambda kind: adjudicate(kind, [(2, 4, 1.0)], trials=10),
+    lambda kind: validated_pfa(
+        kind, adjudicate(kind, [(1, 4, 1.0)], trials=1_000), 2, 4, 1.0),
+    lambda kind: empirical_pfa(kind, 2, 4, 1.0, _PARAMS, trials=10),
+    lambda kind: SweepSpec(kind, 2, 4, 1.0, [_PARAMS], trials=10, seed=0),
+], ids=["mc_dual_pfa", "adjudicate", "validated_pfa", "empirical_pfa",
+        "SweepSpec"])
+def test_single_kinds_require_one_cut_cell(entry, kind):
+    with pytest.raises(ParameterDomainError, match="requires n_cut == 1"):
+        entry(kind)
 
 
 class TestValidatedPfa:

@@ -9,7 +9,7 @@ from scipy.special import gammaincc
 
 from gmcfar import (ParameterDomainError, PfaFormulaVariant,
                     UnsupportedConfigurationError, gamma_tail_poisson_sum,
-                    log_binomial, pfa_gm_full_multi, pfa_gm_full_single,
+                    pfa_gm_full_multi, pfa_gm_full_single,
                     pfa_gm_partial_multi, pfa_gm_partial_single)
 
 PAPER = PfaFormulaVariant.PAPER
@@ -53,34 +53,6 @@ class TestGammaTail:
             gamma_tail_poisson_sum(math.nan, 2)
 
 
-class TestLogBinomial:
-    def test_small_exact_values(self):
-        assert log_binomial(3, 0) == 0.0
-        assert log_binomial(4, 1) == pytest.approx(math.log(4.0), rel=1e-15)
-        assert log_binomial(35, 17) == pytest.approx(math.log(4537567650.0), rel=1e-15)
-
-    def test_empty_product_convention(self):
-        assert log_binomial(-1, 0) == 0.0
-        assert log_binomial(0, 0) == 0.0
-        with pytest.raises(ParameterDomainError):
-            log_binomial(-2, 0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ParameterDomainError):
-            log_binomial(3, 4)
-        with pytest.raises(ParameterDomainError):
-            log_binomial(5, -1)
-        with pytest.raises(ParameterDomainError):
-            log_binomial(2.5, 1)
-
-    @pytest.mark.parametrize("a, b", [(200, 100), (4000, 1234), (10_000, 5000),
-                                      (1_000_000, 3), (1_000_000, 2001),
-                                      (1_000_000, 500_000)])
-    def test_large_arguments_vs_mpmath(self, a, b):
-        want = float(mpmath.log(mpmath.binomial(a, b)))
-        assert log_binomial(a, b) == pytest.approx(want, rel=1e-13)
-
-
 class TestPartialSingle:
     def test_known_values(self):
         assert pfa_gm_partial_single(1, 0.0) == 1.0
@@ -113,8 +85,13 @@ class TestFullSingle:
                 0.5 / (1.0 + tau), rel=1e-14)
 
     def test_quadrature_variant_is_rejected_here(self):
-        with pytest.raises(ParameterDomainError):
-            pfa_gm_full_single(4, 1.0, PfaFormulaVariant.ORACLE_QUADRATURE)
+        # Both full forms take only a PfaFormulaVariant member; a bare name
+        # or None must not fall through to either formula.
+        for variant in (None, "paper", "quadrature"):
+            with pytest.raises(ParameterDomainError):
+                pfa_gm_full_single(4, 1.0, variant)
+            with pytest.raises(ParameterDomainError):
+                pfa_gm_full_multi(2, 4, 1.0, variant)
 
 
 class TestPartialMulti:
