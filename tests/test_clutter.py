@@ -87,6 +87,16 @@ def test_dual_edges_and_errors():
         pareto_to_dual(params, 0.99)
 
 
+def test_sample_exponential_unit_moments():
+    # The unit exponentials that sample_pareto maps through dual_to_pareto.
+    stream = RandomStream(seed=4, stream_id=0)
+    e = stream.exponentials(1_000_000)
+    assert abs(e.mean() - 1.0) < 4e-3
+    assert stream.exponentials(0).shape == (0,)
+    again = RandomStream(seed=4, stream_id=0).exponentials(5)
+    assert np.array_equal(again, stream.exponentials(5))
+
+
 def test_sample_pareto_support_and_determinism():
     params = ParetoParams(5.0, 100.0)
     stream = RandomStream(seed=12, stream_id=1)
