@@ -59,13 +59,9 @@ def _write_json(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _parse_kind(value: str) -> DetectorKind:
-    return DetectorKind(value)
-
-
 def _window_config(args) -> tuple[DetectorKind, int, int]:
     """Map --n/--m flags onto (kind, n_cut, m_ref)."""
-    kind = _parse_kind(args.kind)
+    kind = DetectorKind(args.kind)
     if kind.is_single:
         if args.m is not None:
             raise ParameterDomainError(

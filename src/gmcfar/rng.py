@@ -12,7 +12,7 @@ lane ``i % 4``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,9 @@ class RandomStream:
 
     seed: int
     stream_id: int = 0
+    # 128-bit Philox key derived from (seed, stream_id) once per stream;
+    # blake2 keeps the mapping uniform even for small consecutive seeds.
+    _key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
@@ -61,16 +64,12 @@ class RandomStream:
                 raise ParameterDomainError(
                     f"{name} must be an unsigned 64-bit integer, got {v!r}"
                 )
-
-    def _key(self) -> int:
-        # 128-bit Philox key derived from (seed, stream_id); blake2 keeps the
-        # mapping uniform even for small consecutive seeds.
         raw = hashlib.blake2b(
             int(self.seed).to_bytes(8, "little")
             + int(self.stream_id).to_bytes(8, "little"),
             digest_size=16,
         ).digest()
-        return int.from_bytes(raw, "little")
+        object.__setattr__(self, "_key", int.from_bytes(raw, "little"))
 
     def child(self, *tags) -> "RandomStream":
         """Derive an independent sub-stream labelled by ``tags``."""
@@ -85,7 +84,7 @@ class RandomStream:
             raise ParameterDomainError("count and start must be non-negative")
         if count == 0:
             return np.empty(0, dtype=np.float64)
-        bitgen = np.random.Philox(key=self._key(), counter=start // 4)
+        bitgen = np.random.Philox(key=self._key, counter=start // 4)
         skip = start % 4
         if skip:
             bitgen.random_raw(skip)

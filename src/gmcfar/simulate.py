@@ -22,9 +22,9 @@ from .clutter import ParetoParams
 from .detectors import (DetectorKind, margins_full_multi,
                         margins_partial_multi)
 from .errors import ParameterDomainError
-from .oracles import (EstimateWithCI, _check_seed, _check_trials,
-                      _check_window, _exponential_batches, _make_estimate)
-from .pfa import _check_tau
+from .oracles import (EstimateWithCI, _check_seed, _check_window,
+                      _exponential_batches, _make_estimate)
+from .pfa import _check_count, _check_tau
 from .rng import RandomStream, stable_u64
 
 # Pass threshold for the chi-square homogeneity p-value.
@@ -46,7 +46,7 @@ class SweepSpec:
     def __post_init__(self):
         _check_window(self.kind, self.n_cut, self.m_ref)
         _check_tau(self.tau)
-        _check_trials(self.trials)
+        _check_count("trials", self.trials)
         _check_seed(self.seed)
         object.__setattr__(self, "params_grid", tuple(self.params_grid))
         if not self.params_grid:
@@ -65,7 +65,7 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     """
     n, m = _check_window(kind, n_cut, m_ref)
     tau = _check_tau(tau)
-    trials = _check_trials(trials)
+    trials = _check_count("trials", trials)
     seed = _check_seed(seed)
     scale = params.scale if detector_scale is None else float(detector_scale)
     if not scale > 0.0:

@@ -88,7 +88,8 @@ def solve_tau_numeric(kind: DetectorKind, n_cut: int, m_ref: int,
     if kind is DetectorKind.GM_PARTIAL_SINGLE:
         return solve_tau_partial_single(m_ref, target)
 
-    quad_tol = min(1e-10, config.abs_tol / 10.0)
+    # abs_tol is on the Pfa scale; the quadrature tolerance is relative.
+    quad_tol = min(1e-10, config.abs_tol / (10.0 * target))
 
     def pfa_at(tau: float) -> float:
         return validated_pfa(kind, report, n_cut, m_ref, tau, tol=quad_tol)
@@ -117,23 +118,20 @@ def solve_tau_numeric(kind: DetectorKind, n_cut: int, m_ref: int,
     if abs(f_hi - target) <= config.abs_tol:
         return hi
 
-    best_tau, best_err = hi, abs(f_hi - target)
+    best_err = abs(f_hi - target)
     for _ in range(config.max_iterations):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         f_mid = pfa_at(mid)
         err = abs(f_mid - target)
-        if err < best_err:
-            best_tau, best_err = mid, err
+        best_err = min(best_err, err)
         if err <= config.abs_tol:
             return mid
         if f_mid > target:
             lo = mid
         else:
             hi = mid
-    if best_err <= config.abs_tol:
-        return best_tau
     raise NumericalFailureError(
         f"bisection exhausted {config.max_iterations} iterations on "
         f"[{lo!r}, {hi!r}] for {kind.value} target {target:g}",

@@ -210,6 +210,16 @@ class TestThresholdCommand:
         row = csv_rows(out)[1]
         assert abs(float(row[5]) - 1e-3) <= 1e-15
 
+    def test_no_report_partial_multi_meets_abs_tol(self, capsys):
+        # Below 10**6 trials the in-process report withholds its verdict,
+        # so the solver inverts the quadrature oracle.
+        code, out, _ = run_cli(capsys, "threshold", "--kind", "partial-multi",
+                               "--n", "3", "--m", "8", "--pfa", "1e-6",
+                               "--trials", "20000", "--format", "json")
+        assert code == 0
+        tau = json.loads(out)["tau"]
+        assert abs(pfa_gm_partial_multi(3, 8, tau) - 1e-6) <= 1e-12 * 1e-6
+
     def test_one_reference_full_kind_exits_three(self, capsys, verify_file):
         path, _, _ = verify_file
         code, _, err = run_cli(capsys, "threshold", "--kind", "full-multi",

@@ -7,11 +7,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
 
 from gmcfar import (AdjudicationReport, DetectorKind, EstimateWithCI,
                     ExcessShape, InconsistentReportError,
-                    ParameterDomainError, ParetoParams, PfaFormulaVariant,
+                    NumericalFailureError, ParameterDomainError,
+                    ParetoParams, PfaFormulaVariant,
                     SweepSpec, adjudicate, default_grid, empirical_pfa,
                     mc_dual_pfa, pfa_gm_full_multi, pfa_gm_full_single,
                     pfa_gm_partial_multi, pfa_gm_partial_single,
@@ -197,13 +197,6 @@ class TestQuadraturePartialMulti:
 
 
 class TestScalarGammaTail:
-    def test_equals_scipy_ufunc_exactly(self):
-        xs = [0.0, *np.logspace(-6, 3, 181).tolist(), math.inf]
-        for a in range(1, 65):
-            for x in xs:
-                assert oracles.gammaincc(a, x) == scipy.special.gammaincc(a, x), \
-                    (a, x)
-
     def test_full_multi_degenerate_branch_returns_float(self):
         for m, tau in ((1, 0.7), (4, 0.0)):
             got = quadrature_pfa_full_multi(2, m, tau)
@@ -239,6 +232,93 @@ class TestQuadratureFullMulti:
     def test_excess_shape_type_checked(self):
         with pytest.raises(ParameterDomainError):
             quadrature_pfa_full_multi(2, 4, 1.0, excess_shape="m")
+
+
+def mp_gamma_mixture(n, a, tau, q=0):
+    """sum_{j<n} C(a+j-1, j) tau**j (1+tau)**-(a+j) (1 - q**(n-j)) in
+    30-digit mpmath: P(W1 > tau W2) for W1 ~ gamma(n), W2 ~ gamma(a) at
+    q = 0, and with q = n/(n+m) the minimum-anchored Pfa with excess shape
+    a (a = 0 is the degenerate excess)."""
+    with mpmath.workdps(30):
+        tau, q = mpmath.mpf(tau), mpmath.mpf(q)
+        if a == 0:
+            return float(1 - q ** n)
+        term, total = (1 + tau) ** -a, mpmath.mpf(0)
+        for j in range(n):
+            if j:
+                term *= mpmath.mpf(a + j - 1) / j * tau / (1 + tau)
+            total += term * (1 - q ** (n - j))
+        return float(total)
+
+
+class TestGaussLaguerreOracle:
+    # P(W1 > tau W2) by 30-digit mpmath.quad, and the M-1 shape full-multi
+    # Pfa by the 30-digit sum above (it equals the CANDIDATE closed form).
+    # Nested QUADPACK returned 4.8e-29, 0.0, 1.5e-28 and 6e-29 for the
+    # partial-multi points, each with ier == 0.
+    PINNED = [
+        ((2, 200, 0.01), 0.40735248056516829477, 0.40735248056516829483),
+        ((1, 1, 1e6), 9.99999000000999999e-7, 0.5),
+        ((10, 200, 0.05), 0.46097209941109525317, 0.46097209941109525351),
+        ((200, 200, 1.2), 0.034317284441734185866, 0.034959336869276004622),
+    ]
+
+    @pytest.mark.parametrize("window, partial, full", PINNED)
+    def test_pinned_to_mpmath(self, window, partial, full):
+        assert quadrature_pfa_partial_multi(*window, tol=1e-12) == \
+            pytest.approx(partial, rel=1e-12)
+        assert quadrature_pfa_full_multi(*window, tol=1e-12) == \
+            pytest.approx(full, rel=1e-12)
+
+    def test_sweep_to_documented_bound(self):
+        # Every point converges to the mpmath value, or raises; a raise is
+        # allowed only where the Pfa lies far below the double range, as
+        # every gamma tail at the dominant nodes underflows there.
+        raised = []
+        for n in (1, 16, 200, 1000):
+            for m in (1, 16, 200, 1000):
+                for tau in (0.01, 1.0, 1e3):
+                    q = n / (n + m)
+                    cases = [
+                        (quadrature_pfa_partial_multi, (),
+                         mp_gamma_mixture(n, m, tau)),
+                        (quadrature_pfa_full_multi, (ExcessShape.M_MINUS_ONE,),
+                         mp_gamma_mixture(n, m - 1, tau, q)),
+                        (quadrature_pfa_full_multi, (ExcessShape.M,),
+                         mp_gamma_mixture(n, m, tau, q)),
+                    ]
+                    for oracle, shape, want in cases:
+                        try:
+                            got = oracle(n, m, tau, 1e-12, *shape)
+                        except NumericalFailureError:
+                            raised.append((n, m, tau, want))
+                            continue
+                        assert got == pytest.approx(
+                            want, rel=1e-12, abs=1e-300), (n, m, tau, got)
+        assert all(want == 0.0 for *_, want in raised), raised
+
+    def test_capped_nodes_raise(self, monkeypatch):
+        # With K = 8 and 2K = 16 nodes at most, a 64x64 window cannot pass
+        # the convergence check; a 2x4 window still does.
+        monkeypatch.setattr("gmcfar.oracles._MAX_NODES", 16)
+        with pytest.raises(NumericalFailureError):
+            quadrature_pfa_partial_multi(64, 64, 1.0)
+        with pytest.raises(NumericalFailureError):
+            quadrature_pfa_full_multi(64, 64, 1.0)
+        assert quadrature_pfa_full_multi(2, 4, 1.0) == \
+            pytest.approx(17 / 72, rel=1e-12)
+
+
+class TestRowReductions:
+    def test_equal_numpy_reductions_exactly(self):
+        rng = np.random.default_rng(4)
+        for width in range(1, 18):
+            cells = rng.exponential(size=(1001, width))
+            sums = oracles._row_reduce(np.add, cells, oracles._SUM_COLUMNS)
+            mins = oracles._row_reduce(np.minimum, cells,
+                                       oracles._MIN_COLUMNS)
+            assert np.array_equal(sums, cells.sum(axis=1)), width
+            assert np.array_equal(mins, cells.min(axis=1)), width
 
 
 class TestAdjudicate:

@@ -1,5 +1,7 @@
 """Tests for the counter-based random stream."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,32 @@ def test_same_stream_reproduces():
     b = RandomStream(seed=42, stream_id=7)
     assert np.array_equal(a.uniforms(100), b.uniforms(100))
     assert np.array_equal(a.exponentials(100), b.exponentials(100))
+
+
+def test_key_derived_once_and_draws_unchanged(monkeypatch):
+    blake2b, calls = hashlib.blake2b, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("digest_size"))
+        return blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "blake2b", counting)
+    stream = RandomStream(seed=21, stream_id=5)
+    draws = {start: stream.uniforms(10, start=start) for start in (0, 3, 10)}
+    stream.exponentials(5)
+    assert calls == [16]
+    assert stream == RandomStream(21, 5)
+    assert hash(stream) == hash(RandomStream(21, 5))
+    assert repr(stream) == "RandomStream(seed=21, stream_id=5)"
+    # The draws of a Philox generator keyed by blake2b(seed, stream_id) and
+    # set to the start's counter block and lane, as before the cache.
+    key = int.from_bytes(blake2b((21).to_bytes(8, "little")
+                                 + (5).to_bytes(8, "little"),
+                                 digest_size=16).digest(), "little")
+    for start, got in draws.items():
+        bitgen = np.random.Philox(key=key, counter=start // 4)
+        bitgen.random_raw(start % 4)
+        assert np.array_equal(got, np.random.Generator(bitgen).random(10))
 
 
 def test_distinct_streams_differ():

@@ -135,6 +135,22 @@ class TestNumericSolve:
                                 SolverConfig(ceiling), full_multi_report)
         assert tau == 0.0
 
+    def test_quadrature_tolerance_is_relative(self, low_trials_report,
+                                              monkeypatch):
+        # abs_tol = 1e-18 at target 1e-6 asks the quadrature for 1e-13
+        # relative, not 1e-19.
+        tols = []
+
+        def spy(*args, tol):
+            tols.append(tol)
+            return validated_pfa(*args, tol=tol)
+
+        monkeypatch.setattr("gmcfar.solver.validated_pfa", spy)
+        solve_tau_numeric(DetectorKind.GM_FULL_MULTI, 1, 4, SolverConfig(1e-6),
+                          low_trials_report)
+        assert tols and all(t == pytest.approx(1e-13, rel=1e-9, abs=0)
+                            for t in tols)
+
     def test_quadrature_fallback_without_verdict(self, low_trials_report):
         config = SolverConfig(1e-3)
         tau = solve_tau_numeric(DetectorKind.GM_FULL_MULTI, 1, 4,
