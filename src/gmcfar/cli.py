@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -40,6 +42,9 @@ _CFAR_ALPHAS = (2.0, 5.0, 10.0)
 _CFAR_BETAS = (0.01, 1.0, 100.0)
 
 _REDUCTION_RTOL = 1e-14
+
+# Most rows one `sweep` may tabulate, in either mode.
+_MAX_SWEEP_ROWS = 10_000
 
 
 def _fmt9(x: float) -> str:
@@ -313,6 +318,13 @@ def _cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+def _check_sweep_rows(rows: float, flag: str) -> None:
+    if not rows <= _MAX_SWEEP_ROWS:
+        raise ParameterDomainError(
+            f"{flag} with this --step gives more than {_MAX_SWEEP_ROWS} "
+            "rows")
+
+
 def _sweep_taus(args) -> list[float]:
     lo_hi = _parse_grid(args.tau_range.replace(":", ","), float, "--tau-range")
     if len(lo_hi) != 2:
@@ -321,10 +333,12 @@ def _sweep_taus(args) -> list[float]:
     step = args.step
     if not (step and step > 0.0):
         raise ParameterDomainError("--step must be positive")
-    if hi < lo:
+    if not lo <= hi:
         raise ParameterDomainError("--tau-range needs LO <= HI")
+    top = hi + 1e-12 * max(1.0, abs(hi))
+    _check_sweep_rows((top - lo) // step + 1.0, "--tau-range")
     taus, value, index = [], lo, 0
-    while value <= hi + 1e-12 * max(1.0, abs(hi)):
+    while value <= top:
         taus.append(min(value, hi))
         index += 1
         value = lo + index * step
@@ -341,9 +355,13 @@ def _sweep_targets(args) -> list[float]:
         raise ParameterDomainError("--step is a ratio > 1 for --pfa-range")
     if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
         raise ParameterDomainError("--pfa-range values must lie in (0, 1)")
+    # The geometric walk stops within 1e-9 of hi, or appends hi past it.
+    _check_sweep_rows(
+        math.ceil((abs(math.log(hi) - math.log(lo)) - 1e-9) / math.log(step))
+        + 1.0, "--pfa-range")
     targets, value = [], lo
     ratio = step if hi > lo else 1.0 / step
-    for _ in range(10000):
+    for _ in range(_MAX_SWEEP_ROWS):
         targets.append(value)
         if abs(value - hi) <= 1e-9 * hi:
             break
@@ -509,10 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser every `main` call in a process shares; parsing never
+    mutates it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     if args.threads < 1:

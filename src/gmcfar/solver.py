@@ -2,7 +2,9 @@
 
 The scale-weighted single-pulse rule inverts in closed form; everything else
 goes through ``validated_pfa`` with geometric bracket growth followed by
-bisection, which the strict monotonicity of every Pfa curve makes safe.
+Illinois (modified regula falsi) steps on log Pfa, which fall back to
+bisection whenever the secant point leaves the bracket.  The strict
+monotonicity of every Pfa curve keeps the bracket valid throughout.
 """
 
 from __future__ import annotations
@@ -68,7 +70,13 @@ def solve_tau_partial_single(n_ref: int, target) -> float:
 def solve_tau_numeric(kind: DetectorKind, n_cut: int, m_ref: int,
                       config: SolverConfig,
                       report: AdjudicationReport) -> float:
-    """Find tau with |validated_pfa(tau) - target| <= abs_tol by bisection.
+    """Find tau with |validated_pfa(tau) - target| <= abs_tol.
+
+    Once the target is bracketed, each step is the secant root of
+    log(Pfa / target) between the bracket ends, halving the log ratio kept
+    at an end that survives two steps running (the Illinois rule, Dowell &
+    Jarratt, BIT 11, 1971).  A secant point outside the open bracket, or a
+    Pfa that underflows to 0 at its upper end, gives a bisection step.
 
     The minimum-anchored rules with a single reference cell have
     tau-invariant Pfa, so no threshold exists for them; that is reported
@@ -104,10 +112,10 @@ def solve_tau_numeric(kind: DetectorKind, n_cut: int, m_ref: int,
         )
 
     lo, hi = 0.0, 1.0
-    f_hi = pfa_at(hi)
+    f_lo, f_hi = ceiling, pfa_at(hi)
     growth = 0
     while f_hi > target:
-        lo, hi = hi, 2.0 * hi
+        lo, hi, f_lo = hi, 2.0 * hi, f_hi
         f_hi = pfa_at(hi)
         growth += 1
         if growth > _MAX_BRACKET_GROWTH:
@@ -115,25 +123,43 @@ def solve_tau_numeric(kind: DetectorKind, n_cut: int, m_ref: int,
                 f"could not bracket target {target:g} for {kind.value}",
                 achieved=f_hi,
             )
-    if abs(f_hi - target) <= config.abs_tol:
+    best_err = abs(f_hi - target)
+    if best_err <= config.abs_tol:
         return hi
 
-    best_err = abs(f_hi - target)
+    # Illinois steps on g = log(Pfa / target), positive at lo and not
+    # positive at hi.  Pfa may underflow to 0 at hi, leaving g = -inf there.
+    def log_ratio(f: float) -> float:
+        return math.log(f / target) if f > 0.0 else -math.inf
+
+    g_lo, g_hi = log_ratio(f_lo), log_ratio(f_hi)
+    kept = 0  # +1 after lo moved (hi kept), -1 after hi moved (lo kept)
     for _ in range(config.max_iterations):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        f_mid = pfa_at(mid)
-        err = abs(f_mid - target)
+        tau = mid
+        if math.isfinite(g_hi):
+            secant = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            if lo < secant < hi:
+                tau = secant
+        f = pfa_at(tau)
+        err = abs(f - target)
         best_err = min(best_err, err)
         if err <= config.abs_tol:
-            return mid
-        if f_mid > target:
-            lo = mid
+            return tau
+        if f > target:
+            lo, g_lo = tau, log_ratio(f)
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
+            hi, g_hi = tau, log_ratio(f)
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
     raise NumericalFailureError(
-        f"bisection exhausted {config.max_iterations} iterations on "
+        f"root finding exhausted {config.max_iterations} iterations on "
         f"[{lo!r}, {hi!r}] for {kind.value} target {target:g}",
         achieved=best_err,
     )

@@ -13,6 +13,7 @@ import subprocess
 
 import pytest
 
+import gmcfar.cli
 from gmcfar import (DetectorKind, PfaFormulaVariant, pfa_gm_full_multi,
                     pfa_gm_partial_multi, pfa_gm_partial_single,
                     quadrature_pfa_full_multi, solve_tau_partial_single)
@@ -326,6 +327,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("range_args", [
         ("--tau-range", "1:2:3", "--step", "0.5"),
         ("--pfa-range", "1e-2:1e-4:1"),
+        ("--tau-range", "nan:1", "--step", "0.5"),
     ])
     def test_bad_range_exits_before_adjudication(self, capsys, range_args,
                                                  no_adjudication):
@@ -333,6 +335,30 @@ class TestSweepCommand:
                                "--n", "4", "--m", "16", *range_args)
         assert code == 2
         assert err.startswith("gmcfar:")
+
+    @pytest.mark.parametrize("range_args", [
+        ("--tau-range", "0:1", "--step", "1e-6"),
+        ("--pfa-range", "1e-1:1e-12", "--step", "1.0001"),
+    ])
+    def test_oversized_range_exits_before_adjudication(self, capsys,
+                                                       range_args,
+                                                       no_adjudication):
+        code, out, err = run_cli(capsys, "sweep", "--kind", "full-multi",
+                                 "--n", "4", "--m", "16", *range_args)
+        assert code == 2
+        assert out == ""
+        assert "10000 rows" in err
+
+    def test_row_cap_is_ten_thousand(self, capsys, no_adjudication):
+        code, out, _ = run_cli(capsys, "sweep", "--kind", "partial-single",
+                               "--n", "4", "--tau-range", "0:9999",
+                               "--step", "1")
+        assert code == 0
+        assert len(csv_rows(out)) == 1 + 10_000
+        code, out, _ = run_cli(capsys, "sweep", "--kind", "partial-single",
+                               "--n", "4", "--tau-range", "0:10000",
+                               "--step", "1")
+        assert (code, out) == (2, "")
 
 
 class TestSampleCommand:
@@ -422,6 +448,29 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "0.5" in proc.stdout
+
+    def test_one_parser_serves_many_calls(self, capsys, monkeypatch):
+        builds = []
+        real = gmcfar.cli.build_parser
+
+        def spy():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(gmcfar.cli, "build_parser", spy)
+        usage_error = ("threshold", "--kind", "no-such-kind", "--n", "8",
+                       "--pfa", "1e-4")
+        valid = ("threshold", "--kind", "partial-single", "--n", "8",
+                 "--pfa", "1e-4")
+        first_error = run_cli(capsys, *usage_error)
+        code, help_text, _ = run_cli(capsys, "threshold", "--help")
+        first_valid = run_cli(capsys, *valid)
+        assert run_cli(capsys, *usage_error) == first_error
+        assert run_cli(capsys, *valid) == first_valid
+        assert first_error[0] == 2 and "no-such-kind" in first_error[2]
+        assert code == 0 and "--pfa" in help_text
+        assert first_valid[0] == 0
+        assert len(builds) <= 1
 
     def test_bad_threads_rejected(self, capsys):
         code, _, err = run_cli(capsys, "pfa", "--kind", "partial-single",

@@ -2,7 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from gmcfar import (DetectorKind, ParameterDomainError, ParetoParams,
                     SweepSpec, cfar_grid_check, empirical_pfa,
@@ -140,6 +142,15 @@ class TestCfarGridCheck:
         for point in cfar_report.points:
             est = point.result
             assert abs(est.estimate - want) <= 4.0 * est.sigma, point.params
+
+    def test_chi_square_equals_scipy(self, cfar_report):
+        table = np.array([[p.result.successes for p in cfar_report.points],
+                          [p.result.trials - p.result.successes
+                           for p in cfar_report.points]])
+        statistic, p_value, dof, _ = chi2_contingency(table, correction=False)
+        assert cfar_report.chi2_statistic == statistic
+        assert cfar_report.p_value == p_value
+        assert cfar_report.dof == dof
 
     def test_csv_shape(self, cfar_report):
         text = cfar_report.to_csv()

@@ -1,5 +1,6 @@
 """Tests for the threshold-multiplier solver."""
 
+import math
 import time
 
 import pytest
@@ -150,6 +151,51 @@ class TestNumericSolve:
                           low_trials_report)
         assert tols and all(t == pytest.approx(1e-13, rel=1e-9, abs=0)
                             for t in tols)
+
+    def test_evaluation_budget(self, partial_multi_report, full_multi_report,
+                               monkeypatch):
+        # Illinois steps on log Pfa need about 11 evaluations a solve, where
+        # bisection needed about 46.
+        counts = []
+
+        def spy(*args, tol):
+            counts[-1] += 1
+            return validated_pfa(*args, tol=tol)
+
+        monkeypatch.setattr("gmcfar.solver.validated_pfa", spy)
+        for kind, report in ((DetectorKind.GM_PARTIAL_MULTI,
+                              partial_multi_report),
+                             (DetectorKind.GM_FULL_MULTI, full_multi_report)):
+            for n, m in ((2, 8), (16, 64), (128, 128), (1000, 100),
+                         (1000, 1000)):
+                for target in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
+                    config = SolverConfig(target)
+                    counts.append(0)
+                    tau = solve_tau_numeric(kind, n, m, config, report)
+                    achieved = validated_pfa(kind, report, n, m, tau)
+                    assert abs(achieved - target) <= config.abs_tol, \
+                        (kind, n, m, target)
+        assert len(counts) == 50
+        assert sum(counts) / len(counts) <= 14
+        assert max(counts) <= 20
+
+    def test_pfa_underflow_at_bracket_top(self, full_multi_report,
+                                          monkeypatch):
+        # exp(-1000) underflows, so Pfa is 0.0 at the first bracket end,
+        # tau = 1, where log Pfa has no secant.
+        calls = []
+
+        def spy(kind, report, n_cut, m_ref, tau, tol):
+            calls.append(tau)
+            return math.exp(-1000.0 * tau)
+
+        monkeypatch.setattr("gmcfar.solver.validated_pfa", spy)
+        config = SolverConfig(1e-6)
+        tau = solve_tau_numeric(DetectorKind.GM_FULL_MULTI, 2, 8, config,
+                                full_multi_report)
+        assert calls[:2] == [0.0, 1.0]
+        assert abs(math.exp(-1000.0 * tau) - 1e-6) <= config.abs_tol
+        assert len(calls) <= 20
 
     def test_quadrature_fallback_without_verdict(self, low_trials_report):
         config = SolverConfig(1e-3)
