@@ -24,15 +24,14 @@ from typing import Callable, Optional, Sequence
 from .clutter import ParetoParams, sample_pareto
 from .detectors import DetectorKind
 from .errors import (GmCfarError, InconsistentReportError,
-                     NumericalFailureError, ParameterDomainError,
-                     UnsupportedConfigurationError)
+                     ParameterDomainError, UnsupportedConfigurationError)
 from .oracles import (DEFAULT_M_REF, DEFAULT_N_CUT, DEFAULT_TAUS,
                       AdjudicationReport, PfaFormulaVariant, _closed_form,
-                      _quadrature, adjudicate, default_grid, validated_pfa)
-from .pfa import (pfa_gm_full_multi, pfa_gm_full_single,
-                  pfa_gm_partial_multi, pfa_gm_partial_single)
+                      _quadrature, _variants, adjudicate, default_grid,
+                      validated_pfa)
 from .rng import RandomStream
-from .simulate import SweepSpec, cfar_grid_check, empirical_pfa
+from .simulate import (CfarGridPoint, SweepSpec, cfar_grid_check,
+                       empirical_pfa)
 from .solver import SolverConfig, solve_tau_numeric, solve_tau_partial_single
 
 _VERIFY_SCHEMA_VERSION = 1
@@ -118,7 +117,7 @@ def _pfa_and_solver(args, kind: DetectorKind, n_cut: int, m_ref: int,
     kind uses the validated Pfa and the numeric solver over one report.
     """
     if kind is DetectorKind.GM_PARTIAL_SINGLE:
-        return (lambda tau: pfa_gm_partial_single(m_ref, tau),
+        return (lambda tau: _closed_form(kind, n_cut, m_ref, tau, None),
                 lambda config: solve_tau_partial_single(m_ref,
                                                         config.target_pfa))
     report = _obtain_report(args, kind, n_cut, m_ref)
@@ -130,29 +129,26 @@ def _pfa_and_solver(args, kind: DetectorKind, n_cut: int, m_ref: int,
 def _cmd_pfa(args) -> int:
     kind, n_cut, m_ref = _window_config(args)
     tau = args.tau
+    names = ([v.value for v in _variants(kind)] + ["quadrature"]
+             if args.all_variants else [args.variant])
     rows = []
-    if args.all_variants:
-        for name in ("paper", "candidate") if kind.is_full else ("paper",):
-            rows.append((name, _closed_form(kind, n_cut, m_ref, tau,
-                                            PfaFormulaVariant(name))))
-        rows.append(("quadrature",
-                     _quadrature(kind, n_cut, m_ref, tau, 1e-10)))
-    elif args.variant in ("paper", "candidate"):
-        value = _closed_form(kind, n_cut, m_ref, tau,
-                             PfaFormulaVariant(args.variant))
-        if value is None:
-            raise UnsupportedConfigurationError(
-                f"{kind.value} has no closed form at m_ref={m_ref}; "
-                "use --variant quadrature"
-            )
-        rows.append((args.variant, value))
-    elif args.variant == "quadrature":
-        rows.append(("quadrature",
-                     _quadrature(kind, n_cut, m_ref, tau, 1e-10)))
-    else:
-        report = _obtain_report(args, kind, n_cut, m_ref)
-        value = validated_pfa(kind, report, n_cut, m_ref, tau)
-        rows.append(("validated:" + report.verdict, value))
+    for name in names:
+        if name == "quadrature":
+            value = _quadrature(kind, n_cut, m_ref, tau, 1e-10)
+        elif name == "validated":
+            report = _obtain_report(args, kind, n_cut, m_ref)
+            value = validated_pfa(kind, report, n_cut, m_ref, tau)
+            name += ":" + report.verdict
+        else:
+            value = _closed_form(kind, n_cut, m_ref, tau,
+                                 PfaFormulaVariant(name))
+            # --all-variants lists a refused form as an empty cell.
+            if value is None and not args.all_variants:
+                raise UnsupportedConfigurationError(
+                    f"{kind.value} has no closed form at m_ref={m_ref}; "
+                    "use --variant quadrature"
+                )
+        rows.append((name, value))
 
     if args.format == "json":
         _write_json({
@@ -191,23 +187,13 @@ def _cmd_threshold(args) -> int:
 def _cmd_simulate(args) -> int:
     kind, n_cut, m_ref = _window_config(args)
     params = ParetoParams(shape=args.alpha, scale=args.beta)
-    result = empirical_pfa(kind, n_cut, m_ref, args.tau, params,
-                           args.trials, args.seed)
+    row = CfarGridPoint(params, empirical_pfa(
+        kind, n_cut, m_ref, args.tau, params, args.trials, args.seed)).row()
     if args.format == "json":
-        _write_json({
-            "kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
-            "tau": args.tau, "alpha": params.shape, "beta": params.scale,
-            "trials": result.trials, "rejections": result.successes,
-            "estimate": result.estimate, "ci_low": result.ci_low,
-            "ci_high": result.ci_high, "seed": args.seed,
-        })
+        _write_json({"kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
+                     "tau": args.tau, **row, "seed": args.seed})
     else:
-        _write_csv(
-            ["alpha", "beta", "trials", "rejections", "estimate",
-             "ci_low", "ci_high"],
-            [(params.shape, params.scale, result.trials, result.successes,
-              result.estimate, result.ci_low, result.ci_high)],
-        )
+        _write_csv(list(row), [list(row.values())])
     return 0
 
 
@@ -222,21 +208,21 @@ def _parse_grid(text: str, caster, flag: str) -> tuple:
 
 
 def _reduction_checks(m_grid, tau_grid) -> dict:
-    """Single-pulse reduction identities among the closed forms."""
+    """Single-pulse reduction identities among the closed forms: each
+    single-pulse form equals its multi-pulse form at one cut cell, wherever
+    the multi-pulse form does not refuse."""
     worst = 0.0
     for m in m_grid:
         for tau in tau_grid:
-            pairs = [
-                (pfa_gm_partial_multi(1, m, tau),
-                 pfa_gm_partial_single(m, tau)),
-            ]
-            if m >= 2:
-                for variant in (PfaFormulaVariant.PAPER,
-                                PfaFormulaVariant.CANDIDATE):
-                    pairs.append((pfa_gm_full_multi(1, m, tau, variant),
-                                  pfa_gm_full_single(m, tau, variant)))
-            for got, want in pairs:
-                worst = max(worst, abs(got - want) / want)
+            for single, multi in ((DetectorKind.GM_PARTIAL_SINGLE,
+                                   DetectorKind.GM_PARTIAL_MULTI),
+                                  (DetectorKind.GM_FULL_SINGLE,
+                                   DetectorKind.GM_FULL_MULTI)):
+                for variant in _variants(single):
+                    got = _closed_form(multi, 1, m, tau, variant)
+                    if got is not None:
+                        want = _closed_form(single, 1, m, tau, variant)
+                        worst = max(worst, abs(got - want) / want)
     return {"max_rel_error": worst, "rtol": _REDUCTION_RTOL,
             "passed": worst <= _REDUCTION_RTOL}
 
@@ -325,16 +311,20 @@ def _check_sweep_rows(rows: float, flag: str) -> None:
             "rows")
 
 
-def _sweep_taus(args) -> list[float]:
-    lo_hi = _parse_grid(args.tau_range.replace(":", ","), float, "--tau-range")
+def _parse_range(text: str, flag: str) -> tuple[float, float]:
+    lo_hi = _parse_grid(text.replace(":", ","), float, flag)
     if len(lo_hi) != 2:
-        raise ParameterDomainError("--tau-range must look like LO:HI")
-    lo, hi = lo_hi
+        raise ParameterDomainError(f"{flag} must look like LO:HI")
+    return lo_hi
+
+
+def _sweep_taus(args) -> list[float]:
+    lo, hi = _parse_range(args.tau_range, "--tau-range")
     step = args.step
     if not (step and step > 0.0):
         raise ParameterDomainError("--step must be positive")
-    if not lo <= hi:
-        raise ParameterDomainError("--tau-range needs LO <= HI")
+    if not 0.0 <= lo <= hi:
+        raise ParameterDomainError("--tau-range needs 0 <= LO <= HI")
     top = hi + 1e-12 * max(1.0, abs(hi))
     _check_sweep_rows((top - lo) // step + 1.0, "--tau-range")
     taus, value, index = [], lo, 0
@@ -346,10 +336,7 @@ def _sweep_taus(args) -> list[float]:
 
 
 def _sweep_targets(args) -> list[float]:
-    lo_hi = _parse_grid(args.pfa_range.replace(":", ","), float, "--pfa-range")
-    if len(lo_hi) != 2:
-        raise ParameterDomainError("--pfa-range must look like LO:HI")
-    lo, hi = lo_hi
+    lo, hi = _parse_range(args.pfa_range, "--pfa-range")
     step = args.step if args.step is not None else 10.0
     if not step > 1.0:
         raise ParameterDomainError("--step is a ratio > 1 for --pfa-range")
@@ -421,9 +408,9 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _add_window_flags(parser: argparse.ArgumentParser, kinds=None) -> None:
+def _add_window_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", required=True,
-                        choices=[k.value for k in (kinds or DetectorKind)],
+                        choices=[k.value for k in DetectorKind],
                         help="detector kind")
     parser.add_argument("--n", type=int, required=True,
                         help="cells under test (multi kinds) or reference "
@@ -550,9 +537,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InconsistentReportError as exc:
         sys.stderr.write(f"gmcfar: {exc}\n")
         return 1
-    except NumericalFailureError as exc:
-        sys.stderr.write(f"gmcfar: {exc}\n")
-        return 3
     except GmCfarError as exc:
         sys.stderr.write(f"gmcfar: {exc}\n")
         return 3

@@ -137,27 +137,23 @@ def margins_full_multi(cut, reference, tau) -> np.ndarray:
     return lhs - rhs
 
 
-def _single_cut(window: Window) -> None:
+def _single_cut(window: Window) -> Window:
     if window.n_cut != 1:
         raise ParameterDomainError(
             f"single-pulse detector requires exactly one cell under test, "
             f"got {window.n_cut}"
         )
+    return window
 
 
 def gm_partial_single(window: Window, tau: float, scale: float) -> Decision:
     """Single-pulse rule with known clutter scale: Z0 vs scale^(1-M*tau) * prod Z_j^tau."""
-    _single_cut(window)
-    margin = margins_partial_multi(window.cut[None, :], window.reference[None, :],
-                                   tau, scale)[0]
-    return Decision.from_margin(margin)
+    return gm_partial_multi(_single_cut(window), tau, scale)
 
 
 def gm_full_single(window: Window, tau: float) -> Decision:
     """Single-pulse rule anchored on the reference minimum (fully CFAR)."""
-    _single_cut(window)
-    margin = margins_full_multi(window.cut[None, :], window.reference[None, :], tau)[0]
-    return Decision.from_margin(margin)
+    return gm_full_multi(_single_cut(window), tau)
 
 
 def gm_partial_multi(window: Window, tau: float, scale: float) -> Decision:

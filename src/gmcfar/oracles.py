@@ -212,12 +212,11 @@ def _mc_dual_counts(kind: DetectorKind, n_cut: int, m_ref: int,
         sum_y = _row_reduce(np.add, ys, _SUM_COLUMNS)
         if kind.is_full:
             y_min = _row_reduce(np.minimum, ys, _MIN_COLUMNS)
-            for i, tau in enumerate(taus):
-                rhs = (n_cut - m_ref * tau) * y_min + tau * sum_y
-                counts[i] += int(np.count_nonzero(sum_x > rhs))
-        else:
-            for i, tau in enumerate(taus):
-                counts[i] += int(np.count_nonzero(sum_x > tau * sum_y))
+        for i, tau in enumerate(taus):
+            rhs = tau * sum_y
+            if kind.is_full:
+                rhs += (n_cut - m_ref * tau) * y_min
+            counts[i] += int(np.count_nonzero(sum_x > rhs))
     return counts
 
 
@@ -484,6 +483,13 @@ def _closed_form(kind: DetectorKind, n: int, m: int, tau: float,
         return None
 
 
+def _variants(kind: DetectorKind) -> tuple[PfaFormulaVariant, ...]:
+    """The closed forms of ``kind``: the minimum-anchored kinds have two
+    rival forms, the scale-weighted kinds only the printed one."""
+    return (tuple(PfaFormulaVariant) if kind.is_full
+            else (PfaFormulaVariant.PAPER,))
+
+
 def _quadrature(kind: DetectorKind, n: int, m: int, tau: float, tol: float,
                 excess_shape: ExcessShape = ExcessShape.M_MINUS_ONE) -> float:
     """The quadrature oracle of ``kind``; ``excess_shape`` applies to the
@@ -514,13 +520,9 @@ def adjudicate(kind: DetectorKind,
     tol = _check_tol(tol)
 
     # One shared-sample MC pass per unique (n, m); tau reuses the draws.
-    groups: dict[tuple[int, int], list[float]] = {}
-    for n, m, tau in grid:
-        groups.setdefault((n, m), [])
-        if tau not in groups[(n, m)]:
-            groups[(n, m)].append(tau)
     mc_by_point: dict[tuple[int, int, float], EstimateWithCI] = {}
-    for (n, m), taus in groups.items():
+    for n, m in dict.fromkeys((n, m) for n, m, _ in grid):
+        taus = list(dict.fromkeys(t for a, b, t in grid if (a, b) == (n, m)))
         counts = _mc_dual_counts(kind, n, m, taus, trials, seed)
         for tau, successes in zip(taus, counts):
             mc_by_point[(n, m, tau)] = _make_estimate(successes, trials, seed)
@@ -533,7 +535,8 @@ def adjudicate(kind: DetectorKind,
                     if kind.is_full else None)
         paper = _closed_form(kind, n, m, tau, PfaFormulaVariant.PAPER)
         candidate = (_closed_form(kind, n, m, tau, PfaFormulaVariant.CANDIDATE)
-                     if kind.is_full and paper is not None else None)
+                     if PfaFormulaVariant.CANDIDATE in _variants(kind)
+                     and paper is not None else None)
 
         band = 4.0 * mc.sigma
         lo, hi = mc.estimate - band, mc.estimate + band

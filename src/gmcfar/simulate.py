@@ -95,6 +95,14 @@ class CfarGridPoint:
     params: ParetoParams
     result: EstimateWithCI
 
+    def row(self) -> dict:
+        """The point's seven output fields, in written order."""
+        r = self.result
+        return {"alpha": self.params.shape, "beta": self.params.scale,
+                "trials": r.trials, "rejections": r.successes,
+                "estimate": r.estimate, "ci_low": r.ci_low,
+                "ci_high": r.ci_high}
+
 
 @dataclasses.dataclass(frozen=True)
 class CfarGridReport:
@@ -115,13 +123,11 @@ class CfarGridReport:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(["alpha", "beta", "trials", "rejections",
-                         "estimate", "ci_low", "ci_high"])
-        for point in self.points:
-            r = point.result
-            writer.writerow([repr(point.params.shape), repr(point.params.scale),
-                             r.trials, r.successes, repr(r.estimate),
-                             repr(r.ci_low), repr(r.ci_high)])
+        rows = [point.row() for point in self.points]
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in row.values()])
         return out.getvalue()
 
     def to_json(self) -> str:
@@ -132,18 +138,7 @@ class CfarGridReport:
             "tau": self.tau,
             "trials": self.trials,
             "seed": self.seed,
-            "points": [
-                {
-                    "alpha": point.params.shape,
-                    "beta": point.params.scale,
-                    "trials": point.result.trials,
-                    "rejections": point.result.successes,
-                    "estimate": point.result.estimate,
-                    "ci_low": point.result.ci_low,
-                    "ci_high": point.result.ci_high,
-                }
-                for point in self.points
-            ],
+            "points": [point.row() for point in self.points],
             "chi_square": {
                 "statistic": self.chi2_statistic,
                 "dof": self.dof,

@@ -8,6 +8,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import shutil
 import subprocess
 
@@ -103,6 +104,23 @@ class TestPfaCommand:
         assert by_name["paper"] == pytest.approx(19 / 144, rel=1e-14)
         assert by_name["candidate"] == pytest.approx(17 / 72, rel=1e-14)
         assert by_name["quadrature"] == pytest.approx(17 / 72, rel=1e-9)
+
+    def test_all_variants_list_refused_forms_as_empty(self, capsys):
+        # Unlike a single named variant, --all-variants answers at M = 1.
+        argv = ["pfa", "--kind", "full-multi", "--n", "2", "--m", "1",
+                "--tau", "1.0", "--all-variants"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = {row[4]: row[5] for row in csv_rows(out)[1:]}
+        assert list(rows) == ["paper", "candidate", "quadrature"]
+        assert rows["paper"] == rows["candidate"] == ""
+        assert math.isfinite(float(rows["quadrature"]))
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        results = {r["variant"]: r["pfa"]
+                   for r in json.loads(out)["results"]}
+        assert results["paper"] is None and results["candidate"] is None
+        assert math.isfinite(results["quadrature"])
 
     def test_crlf_csv(self, capsys):
         _, out, _ = run_cli(capsys, "pfa", "--kind", "partial-single",
@@ -328,6 +346,7 @@ class TestSweepCommand:
         ("--tau-range", "1:2:3", "--step", "0.5"),
         ("--pfa-range", "1e-2:1e-4:1"),
         ("--tau-range", "nan:1", "--step", "0.5"),
+        ("--tau-range=-1:1", "--step", "0.5"),
     ])
     def test_bad_range_exits_before_adjudication(self, capsys, range_args,
                                                  no_adjudication):

@@ -11,7 +11,7 @@ import pytest
 from gmcfar import (AdjudicationReport, DetectorKind, EstimateWithCI,
                     ExcessShape, InconsistentReportError,
                     NumericalFailureError, ParameterDomainError,
-                    ParetoParams, PfaFormulaVariant,
+                    ParetoParams, PfaFormulaVariant, RandomStream,
                     SweepSpec, adjudicate, default_grid, empirical_pfa,
                     mc_dual_pfa, pfa_gm_full_multi, pfa_gm_full_single,
                     pfa_gm_partial_multi, pfa_gm_partial_single,
@@ -165,6 +165,28 @@ class TestMcDualPfa:
         # Fewer cells than one window: every batch holds a single row.
         monkeypatch.setattr("gmcfar.oracles._BATCH_CELLS", 5)
         assert mc_dual_pfa(kind, n, 8 - n, **kw).successes == want
+
+    @pytest.mark.parametrize("kind, n, m", [
+        (DetectorKind.GM_PARTIAL_SINGLE, 1, 5),
+        (DetectorKind.GM_FULL_SINGLE, 1, 5),
+        (DetectorKind.GM_PARTIAL_MULTI, 3, 12),
+        (DetectorKind.GM_FULL_MULTI, 3, 40),
+    ])
+    def test_counts_equal_textbook_reference(self, kind, n, m):
+        # The same draws, reduced by numpy and tested against the textbook
+        # right-hand sides: tau sum Y, or (N - M tau) Ymin + tau sum Y.
+        # The windows take both the column-wise and the numpy reductions.
+        taus, trials, seed = [0.0, 0.5, 2.0], 20_000, 4
+        base = RandomStream(seed, 0).child("dual", kind.value, n, m)
+        want = [0] * len(taus)
+        for xs, ys in oracles._exponential_batches(base, n, m, trials):
+            sum_x, sum_y, y_min = xs.sum(axis=1), ys.sum(axis=1), ys.min(axis=1)
+            for i, tau in enumerate(taus):
+                rhs = ((n - m * tau) * y_min + tau * sum_y if kind.is_full
+                       else tau * sum_y)
+                want[i] += int(np.count_nonzero(sum_x > rhs))
+        got = oracles._mc_dual_counts(kind, n, m, taus, trials, seed)
+        assert got == want
 
 
 class TestQuadraturePartialMulti:
