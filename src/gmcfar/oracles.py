@@ -26,8 +26,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaincc
 
 from . import pfa as _pfa
 from .detectors import DetectorKind
@@ -253,6 +251,9 @@ def _laguerre_rule(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     recurrence with a running rescale, so it keeps its relative accuracy
     where it underflows or the eigenvectors' absolute 1e-16 would not do.
     """
+    # Imported here so that gmcfar loads scipy only when it integrates.
+    from scipy.linalg import eigh_tridiagonal
+
     j = np.arange(nodes, dtype=float)
     diag, off = 2.0 * j + alpha + 1.0, np.sqrt(j[1:] * (j[1:] + alpha))
     u = eigh_tridiagonal(diag, off, eigvals_only=True)
@@ -284,6 +285,9 @@ def _gamma_mixture_tail(n: int, mixture, tol: float, context: str) -> float:
     their logs; a Q that underflows counts as 0, which moves the value by
     less than the smallest normal double.
     """
+    # Imported here so that gmcfar loads scipy only when it integrates.
+    from scipy.special import gammaincc
+
     tol = max(tol, _AGREEMENT_FLOOR)
     previous, nodes = math.nan, _FIRST_NODES
     while nodes <= _MAX_NODES:

@@ -16,7 +16,6 @@ import json
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .clutter import ParetoParams
 from .detectors import (DetectorKind, margins_full_multi,
@@ -120,6 +119,10 @@ class CfarGridReport:
     p_value: float
     passed: bool
 
+    def __post_init__(self):
+        if not self.points:
+            raise ParameterDomainError("a CFAR grid report needs points")
+
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out)
@@ -184,6 +187,8 @@ def cfar_grid_check(spec: SweepSpec) -> CfarGridReport:
         expected = (totals * observed.sum(axis=0, keepdims=True)
                     / observed.sum())
         statistic = ((observed - expected) ** 2 / expected).sum()
+        # Imported here so that simulating alone never loads scipy.
+        from scipy.special import chdtrc
         p_value = chdtrc(dof, statistic)
     return CfarGridReport(
         kind=spec.kind, n_cut=spec.n_cut, m_ref=spec.m_ref, tau=spec.tau,

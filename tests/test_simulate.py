@@ -1,5 +1,6 @@
 """Tests for the Pareto-domain simulator and the CFAR grid check."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -183,3 +184,8 @@ class TestCfarGridCheck:
                          CFAR_GRID[:1], trials=10, seed=0)
         with pytest.raises(ParameterDomainError):
             cfar_grid_check(spec)
+
+    def test_report_needs_points(self, cfar_report):
+        # An empty report would have no CSV header row to write.
+        with pytest.raises(ParameterDomainError):
+            dataclasses.replace(cfar_report, points=())

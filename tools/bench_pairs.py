@@ -36,6 +36,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"record": json.loads(lines[-2]), **json.loads(lines[-1])}
 
 
+def interleave(pairs: int, run) -> dict:
+    """Each side's ``run(i, side)`` results over ``pairs`` pairs, in order.
+
+    Even pairs run the parent first and odd pairs the change, so a drift of
+    the machine during the runs weighs on both sides alike.
+    """
+    results = {side: [] for side in SIDES}
+    for i in range(pairs):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            results[side].append(run(i, side))
+    return results
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -71,15 +84,15 @@ def main() -> int:
     doc = {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
     for w_index, workload in enumerate(args.workloads.split(",")):
         seeds = [args.seed + 100 * w_index + i for i in range(args.pairs)]
-        runs = {side: [] for side in SIDES}
-        for i, seed in enumerate(seeds):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for side in order:
-                result = run_once(getattr(args, side), workload, seed,
-                                  args.seconds)
-                runs[side].append(result)
-                print(workload, seed, side,
-                      result["metrics"]["wall_s"]["value"], flush=True)
+
+        def run(i: int, side: str) -> dict:
+            result = run_once(getattr(args, side), workload, seeds[i],
+                              args.seconds)
+            print(workload, seeds[i], side,
+                  result["metrics"]["wall_s"]["value"], flush=True)
+            return result
+
+        runs = interleave(args.pairs, run)
         doc["workloads"][workload] = {
             "seeds": seeds,
             "machine": runs["change"][0]["record"]["environment"],
