@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pfa as _pfa
-from .detectors import DetectorKind
+from .detectors import DetectorKind, _MIN_COLUMNS, _SUM_COLUMNS, _row_reduce
 from .errors import (InconsistentReportError, NumericalFailureError,
                      ParameterDomainError, UnsupportedConfigurationError)
 from .pfa import PfaFormulaVariant, _check_count, _check_tau
@@ -41,11 +41,6 @@ _Z95 = 1.959963984540054
 # batch's draw, reductions and tau comparisons stay there.  Results do not
 # depend on it.
 _BATCH_CELLS = 1 << 18
-
-# Batch rows narrower than these reduce column by column, faster than
-# numpy's per-row loops.  numpy adds a row of under 8 cells in order, as a
-# running sum does, and pairwise from 8; its row minimum wins from 32.
-_SUM_COLUMNS, _MIN_COLUMNS = 8, 32
 
 # Verdicts below this trial count are withheld: the preconditions for
 # separating candidate forms assume at least 10**6 trials.
@@ -167,31 +162,23 @@ def _check_window(kind: DetectorKind, n_cut, m_ref) -> tuple[int, int]:
     return n, m
 
 
-def _exponential_batches(base: RandomStream, n: int, m: int, trials: int):
-    """Unit exponentials for ``trials`` windows of n + m cells, yielded as
-    ``(size, n)`` and ``(size, m)`` arrays from the ``cut`` and ``ref``
-    children of ``base``, at most ``_BATCH_CELLS`` cells a batch.
-
-    Window ``i`` always reads the same stream indices, so the draws do not
-    depend on the batch size.
-    """
+def _mc_sum(base: RandomStream, n: int, m: int, trials: int, count):
+    """Sum, in batch order, of ``count(cut, ref)`` over ``(size, n)`` and
+    ``(size, m)`` unit exponentials from the ``cut`` and ``ref`` children of
+    ``base``, at most ``_BATCH_CELLS`` cells a batch.  Window ``i`` always
+    reads the same stream indices, so the sum does not depend on the batch."""
     s_cut, s_ref = base.child("cut"), base.child("ref")
     batch = max(1, min(trials, _BATCH_CELLS // (n + m)))
+    total = 0
     for done in range(0, trials, batch):
         size = min(batch, trials - done)
-        yield (s_cut.exponentials(n * size, start=n * done).reshape(size, n),
-               s_ref.exponentials(m * size, start=m * done).reshape(size, m))
-
-
-def _row_reduce(op: np.ufunc, cells: np.ndarray, columns: int) -> np.ndarray:
-    """``op.reduce(cells, axis=1)``, column by column on rows narrower than
-    ``columns``; the thresholds above keep it bit for bit."""
-    if cells.shape[1] >= columns:
-        return op.reduce(cells, axis=1)
-    out = cells[:, 0].copy()
-    for column in cells.T[1:]:
-        op(out, column, out=out)
-    return out
+        # Bound only once both are drawn, so the last batch outlives the next
+        # draw and the allocator reuses its pages rather than fault in new.
+        cut, ref = (
+            s_cut.exponentials(n * size, start=n * done).reshape(size, n),
+            s_ref.exponentials(m * size, start=m * done).reshape(size, m))
+        total += count(cut, ref)
+    return total
 
 
 def _mc_dual_counts(kind: DetectorKind, n_cut: int, m_ref: int,
@@ -199,23 +186,24 @@ def _mc_dual_counts(kind: DetectorKind, n_cut: int, m_ref: int,
     """Success counts P(margin > 0) for several taus over shared samples.
 
     The stream tags exclude tau, so every tau sees the same simulated
-    windows: per-point results stay reproducible and tau-invariance
-    fixtures hold exactly.
-    """
+    windows and tau-invariance fixtures hold exactly."""
     base = RandomStream(seed, 0).child("dual", kind.value, n_cut, m_ref)
     taus = [_check_tau(t) for t in taus]
-    counts = [0] * len(taus)
-    for xs, ys in _exponential_batches(base, n_cut, m_ref, trials):
+
+    def count(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         sum_x = _row_reduce(np.add, xs, _SUM_COLUMNS)
         sum_y = _row_reduce(np.add, ys, _SUM_COLUMNS)
         if kind.is_full:
             y_min = _row_reduce(np.minimum, ys, _MIN_COLUMNS)
-        for i, tau in enumerate(taus):
+        counts = []
+        for tau in taus:
             rhs = tau * sum_y
             if kind.is_full:
                 rhs += (n_cut - m_ref * tau) * y_min
-            counts[i] += int(np.count_nonzero(sum_x > rhs))
-    return counts
+            counts.append(np.count_nonzero(sum_x > rhs))
+        return np.array(counts, dtype=np.int64)
+
+    return _mc_sum(base, n_cut, m_ref, trials, count).tolist()
 
 
 def mc_dual_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,

@@ -22,7 +22,7 @@ from .detectors import (DetectorKind, margins_full_multi,
                         margins_partial_multi)
 from .errors import ParameterDomainError
 from .oracles import (EstimateWithCI, _check_seed, _check_window,
-                      _exponential_batches, _make_estimate)
+                      _make_estimate, _mc_sum)
 from .pfa import _check_count, _check_tau
 from .rng import RandomStream, stable_u64
 
@@ -71,22 +71,19 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
         raise ParameterDomainError("detector_scale must be positive")
 
     base = RandomStream(seed, stream_id).child("pareto", kind.value, n, m)
-    inv_shape = 1.0 / params.shape
-    log_scale = np.log(params.scale)
+    inv_shape, log_scale = 1.0 / params.shape, np.log(params.scale)
 
-    successes = 0
-    for cut, ref in _exponential_batches(base, n, m, trials):
+    def count(cut: np.ndarray, ref: np.ndarray) -> int:
         # Pareto = exp(log(beta) + Exp(1)/alpha), formed in place.
         for cells in (cut, ref):
             cells *= inv_shape
             cells += log_scale
             np.exp(cells, out=cells)
-        if kind.is_full:
-            margins = margins_full_multi(cut, ref, tau)
-        else:
-            margins = margins_partial_multi(cut, ref, tau, scale)
-        successes += int(np.count_nonzero(margins > 0.0))
-    return _make_estimate(successes, trials, seed)
+        margins = (margins_full_multi(cut, ref, tau) if kind.is_full
+                   else margins_partial_multi(cut, ref, tau, scale))
+        return int(np.count_nonzero(margins > 0.0))
+
+    return _make_estimate(_mc_sum(base, n, m, trials, count), trials, seed)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .errors import (NumericalFailureError, ParameterDomainError,
 from .oracles import AdjudicationReport, validated_pfa
 from .pfa import _check_count, pfa_gm_partial_single
 
-# Below this target the closed-form sums would need compensated summation.
+# No oracle has yet checked a closed form below this target.
 _MIN_TARGET = 1e-12
 
 _MAX_BRACKET_GROWTH = 400

@@ -149,6 +149,21 @@ def test_scalar_detectors_match_batch_kernels():
         assert gm_full_multi(window, 1.3).margin == batch_full[i]
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 31, 32, 64])
+def test_batch_margins_equal_textbook_reductions_exactly(width):
+    # The kernels reduce narrow rows column by column; they must still give
+    # numpy's per-row sums and minima of the logs, bit for bit.
+    cut, ref = _random_windows(1001, width, width, seed=width)
+    n, m, tau, scale = width, width, 0.7, 2.0
+    log_cut, log_ref = np.log(cut), np.log(ref)
+    partial = log_cut.sum(axis=1) - ((n - m * tau) * math.log(scale)
+                                     + tau * log_ref.sum(axis=1))
+    full = log_cut.sum(axis=1) - ((n - m * tau) * log_ref.min(axis=1)
+                                  + tau * log_ref.sum(axis=1))
+    assert np.array_equal(margins_partial_multi(cut, ref, tau, scale), partial)
+    assert np.array_equal(margins_full_multi(cut, ref, tau), full)
+
+
 def test_single_detectors_match_multi_with_one_cut():
     cut, ref = _random_windows(50, 1, 4, seed=5)
     for i in range(cut.shape[0]):

@@ -17,7 +17,7 @@ from gmcfar import (AdjudicationReport, DetectorKind, EstimateWithCI,
                     pfa_gm_partial_multi, pfa_gm_partial_single,
                     quadrature_pfa_full_multi, quadrature_pfa_partial_multi,
                     validated_pfa, wilson_interval)
-from gmcfar import oracles
+from gmcfar import detectors, oracles
 
 Z95 = 1.959963984540054
 
@@ -178,13 +178,14 @@ class TestMcDualPfa:
         # The windows take both the column-wise and the numpy reductions.
         taus, trials, seed = [0.0, 0.5, 2.0], 20_000, 4
         base = RandomStream(seed, 0).child("dual", kind.value, n, m)
-        want = [0] * len(taus)
-        for xs, ys in oracles._exponential_batches(base, n, m, trials):
+
+        def textbook(xs, ys):
             sum_x, sum_y, y_min = xs.sum(axis=1), ys.sum(axis=1), ys.min(axis=1)
-            for i, tau in enumerate(taus):
-                rhs = ((n - m * tau) * y_min + tau * sum_y if kind.is_full
-                       else tau * sum_y)
-                want[i] += int(np.count_nonzero(sum_x > rhs))
+            rhs = [(n - m * tau) * y_min + tau * sum_y if kind.is_full
+                   else tau * sum_y for tau in taus]
+            return np.array([np.count_nonzero(sum_x > r) for r in rhs])
+
+        want = oracles._mc_sum(base, n, m, trials, textbook).tolist()
         got = oracles._mc_dual_counts(kind, n, m, taus, trials, seed)
         assert got == want
 
@@ -334,11 +335,12 @@ class TestGaussLaguerreOracle:
 class TestRowReductions:
     def test_equal_numpy_reductions_exactly(self):
         rng = np.random.default_rng(4)
-        for width in range(1, 18):
+        for width in [*range(1, 18), 31, 32, 33, 64]:
             cells = rng.exponential(size=(1001, width))
-            sums = oracles._row_reduce(np.add, cells, oracles._SUM_COLUMNS)
-            mins = oracles._row_reduce(np.minimum, cells,
-                                       oracles._MIN_COLUMNS)
+            sums = detectors._row_reduce(np.add, cells,
+                                         detectors._SUM_COLUMNS)
+            mins = detectors._row_reduce(np.minimum, cells,
+                                         detectors._MIN_COLUMNS)
             assert np.array_equal(sums, cells.sum(axis=1)), width
             assert np.array_equal(mins, cells.min(axis=1)), width
 

@@ -99,8 +99,7 @@ class TestEmpiricalPfa:
         kw = dict(params=PARAMS, trials=10_000, seed=6)
         want = empirical_pfa(kind, n, 8, 1.0, **kw).successes
         # 333 or 370 windows a batch, then an uneven last batch of 10.
-        for module in ("gmcfar.oracles", "gmcfar.simulate"):
-            monkeypatch.setattr(f"{module}._BATCH_CELLS", 3337, raising=False)
+        monkeypatch.setattr("gmcfar.oracles._BATCH_CELLS", 3337)
         assert empirical_pfa(kind, n, 8, 1.0, **kw).successes == want
 
     @pytest.mark.parametrize("kind, n", [(DetectorKind.GM_PARTIAL_MULTI, 2),

@@ -13,7 +13,9 @@ and exit code, so comparing the CLI output of two versions is a ``diff`` of
 two runs.  The set covers every kind under each ``pfa`` variant (CSV and
 JSON), ``--all-variants`` (also at M = 1), ``threshold``, both ``sweep``
 modes, ``simulate``, ``sample``, a reduced ``verify`` (its report file and
-stdout), usage errors and ``--help``.
+stdout), usage errors and ``--help``.  A ``simulate`` at 8x64 and 4x32 and a
+``verify`` at M = 8 and 32 also reach numpy's own row reductions, which
+windows under 8 (sums) and 32 (minima) cells do not.
 """
 
 from __future__ import annotations
@@ -67,6 +69,15 @@ def invocations() -> list[list[str]]:
             ["simulate", *window(*w), "--tau", "0.8", "--alpha", "3",
              "--beta", "2", "--trials", "20000", "--format", "json"],
         ]
+    # Windows whose rows take numpy's reductions as well as the column
+    # loops: 8 cells and more are summed pairwise, 32 and more are minimised
+    # per row.
+    for w in (("full-multi", "8", "64"), ("partial-multi", "4", "32")):
+        calls.append(["simulate", *window(*w), "--tau", "0.25", "--alpha",
+                      "3", "--beta", "2", "--trials", "20000"])
+    calls.append(["verify", "--trials", "100000", "--cfar-trials", "20000",
+                  "--n-grid", "1,2", "--m-grid", "8,32", "--tau-grid", "0.5",
+                  "--out", "{tmp}/wide.json"])
     calls += [
         ["threshold", *window(*WINDOWS[3]), "--pfa", "1e-4",
          "--trials", "20000"],
