@@ -102,7 +102,7 @@ def _obtain_report(args, kind: DetectorKind, n_cut: int,
                    m_ref: int) -> AdjudicationReport:
     """Load a cached adjudication report, or run a reduced one in-process
     restricted to the requested window sizes."""
-    if getattr(args, "report", None):
+    if args.report:
         return _load_report(args.report, kind)
     grid = [(n_cut, m_ref, tau) for tau in DEFAULT_TAUS]
     return adjudicate(kind, grid, trials=args.trials, seed=args.seed)

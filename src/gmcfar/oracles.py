@@ -11,9 +11,9 @@ detectors it is evaluated under both candidate shapes of the
 excess-over-minimum statistic, so the competing closed forms each have a
 deterministic counterpart.
 
-``adjudicate`` runs the full comparison over a grid and issues at most one
-verdict per detector; ``validated_pfa`` is the dispatch the solver and CLI
-bind to.
+``adjudicate`` gathers that evidence over a grid; its report derives at most
+one verdict per detector from it, as does a report loaded from JSON.
+``validated_pfa`` is the dispatch the solver and CLI bind to.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import enum
 import functools
 import json
 import math
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,6 +59,9 @@ DEFAULT_M_REF = (1, 2, 4, 8, 16)
 
 _REPORT_SCHEMA_VERSION = 1
 
+# libm pow/log1p may differ by one ulp between machines; no verdict moves.
+_CLOSED_FORM_RTOL = 1e-12
+
 # The JSON fields of a report and of each of its points, in written order,
 # with the types each may hold (checked exactly, so true is not a count).
 # A point's ``mc_*`` fields are the attributes of its Monte Carlo estimate.
@@ -73,6 +77,9 @@ _POINT_FIELDS = dict(
     oracle_consistent=(bool,), paper_verdict=(str,),
     candidate_verdict=(str,), discriminates=(bool,),
     insufficient_precision=(bool,))
+_report_values = operator.attrgetter(*_REPORT_FIELDS)
+_point_values = operator.attrgetter(*(f"mc.{key[3:]}" if key[:3] == "mc_"
+                                      else key for key in _POINT_FIELDS))
 
 
 class ExcessShape(enum.Enum):
@@ -339,7 +346,7 @@ def quadrature_pfa_full_multi(n_cut: int, m_ref: int, tau, tol: float = 1e-10,
 
 @dataclasses.dataclass(frozen=True)
 class GridPointRecord:
-    """Every value computed at one (n_cut, m_ref, tau) grid point."""
+    """The evidence at one grid point and the verdicts derived from it."""
 
     n_cut: int
     m_ref: int
@@ -349,17 +356,40 @@ class GridPointRecord:
     quadrature_excess_m: Optional[float]
     paper: Optional[float]
     candidate: Optional[float]
-    oracle_consistent: bool
-    paper_verdict: str
-    candidate_verdict: str
-    discriminates: bool
-    insufficient_precision: bool
+    oracle_consistent: bool = dataclasses.field(init=False)
+    paper_verdict: str = dataclasses.field(init=False)
+    candidate_verdict: str = dataclasses.field(init=False)
+    discriminates: bool = dataclasses.field(init=False)
+    insufficient_precision: bool = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        band = 4.0 * self.mc.sigma
+        lo, hi = self.mc.estimate - band, self.mc.estimate + band
+
+        def verdict_of(value: Optional[float]) -> str:
+            return ("not-evaluated" if value is None else
+                    "consistent" if lo <= value <= hi else "inconsistent")
+
+        both = self.paper is not None and self.candidate is not None
+        derive = functools.partial(object.__setattr__, self)
+        derive("oracle_consistent", lo <= self.quadrature <= hi)
+        derive("paper_verdict", verdict_of(self.paper))
+        derive("candidate_verdict", "not-applicable" if self.candidate is None
+               and self.paper is not None else verdict_of(self.candidate))
+        derive("discriminates",
+               both and self.paper_verdict != self.candidate_verdict)
+        derive("insufficient_precision",
+               both and self.paper != self.candidate and not self.discriminates)
 
 
 @dataclasses.dataclass(frozen=True)
 class AdjudicationReport:
     """Grid-wide comparison of closed forms against the oracles.
 
+    A variant is validated only when the report is internally consistent
+    (Monte Carlo inside 4 sigma of the reference quadrature everywhere),
+    trials reach 10**6, the variant sits inside the 4 sigma band at every
+    point it evaluates, and the competing variant falls outside somewhere.
     ``verdict`` is one of ``paper``, ``candidate``, ``use-quadrature``,
     ``no-verdict-inconsistent-oracles`` or ``no-verdict-insufficient-trials``;
     ``validated_variant`` is set only for the first two.
@@ -370,69 +400,86 @@ class AdjudicationReport:
     trials: int
     tol: float
     points: tuple[GridPointRecord, ...]
-    internally_consistent: bool
-    insufficient_precision: bool
-    validated_variant: Optional[PfaFormulaVariant]
-    verdict: str
+    internally_consistent: bool = dataclasses.field(init=False)
+    insufficient_precision: bool = dataclasses.field(init=False)
+    validated_variant: Optional[PfaFormulaVariant] = dataclasses.field(init=False)
+    verdict: str = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        points = self.points
+        derive = functools.partial(object.__setattr__, self)
+        derive("internally_consistent", all(p.oracle_consistent for p in points))
+        paper_ok = all(p.paper_verdict == "consistent"
+                       for p in points if p.paper is not None)
+        candidate_ok = all(p.candidate_verdict == "consistent"
+                           for p in points if p.candidate is not None)
+        has_rivalry = any(p.paper is not None and p.candidate is not None
+                          and p.paper != p.candidate for p in points)
+        no_separation = has_rivalry and not any(p.discriminates for p in points)
+        few_trials = self.trials < _VERDICT_MIN_TRIALS
+        derive("insufficient_precision", few_trials or no_separation)
+        validated: Optional[PfaFormulaVariant] = None
+        if self.internally_consistent and not few_trials:
+            if not has_rivalry:
+                # Single-form kinds: validate the printed formula or fall back.
+                if paper_ok and any(p.paper is not None for p in points):
+                    validated = PfaFormulaVariant.PAPER
+            elif paper_ok != candidate_ok:
+                validated = (PfaFormulaVariant.PAPER if paper_ok
+                             else PfaFormulaVariant.CANDIDATE)
+        derive("validated_variant", validated)
+        derive("verdict", "no-verdict-inconsistent-oracles"
+               if not self.internally_consistent
+               else "no-verdict-insufficient-trials" if few_trials
+               else "use-quadrature" if validated is None else validated.value)
+
+    def _to_dict(self) -> dict:
+        """The JSON object ``to_json`` writes."""
+        doc = {"schema_version": _REPORT_SCHEMA_VERSION,
+               **dict(zip(_REPORT_FIELDS, _report_values(self)))}
+        doc.update(detector=self.detector.value, points=[
+            dict(zip(_POINT_FIELDS, _point_values(p))) for p in self.points],
+            validated_variant=getattr(self.validated_variant, "value", None))
+        return doc
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": _REPORT_SCHEMA_VERSION,
-            "detector": self.detector.value,
-            "seed": self.seed,
-            "trials": self.trials,
-            "tol": self.tol,
-            "points": [
-                {key: (getattr(p.mc, key.removeprefix("mc_"))
-                       if key.startswith("mc_") else getattr(p, key))
-                 for key in _POINT_FIELDS}
-                for p in self.points
-            ],
-            "internally_consistent": self.internally_consistent,
-            "insufficient_precision": self.insufficient_precision,
-            "validated_variant": (None if self.validated_variant is None
-                                  else self.validated_variant.value),
-            "verdict": self.verdict,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps(self._to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "AdjudicationReport":
-        doc = json.loads(text)
-        return cls.from_dict(doc)
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AdjudicationReport":
-        """Rebuild a report; ParameterDomainError if ``doc`` is not one."""
+        """Rebuild a report from its Monte Carlo counts and quadratures;
+        ParameterDomainError if ``doc`` is not one, InconsistentReportError
+        if any other stored value disagrees with the rebuilt one."""
         if not isinstance(doc, dict):
             raise ParameterDomainError("report must be a JSON object")
         if doc.get("schema_version") != _REPORT_SCHEMA_VERSION:
             raise ParameterDomainError(
-                f"unsupported report schema: {doc.get('schema_version')!r}"
-            )
+                f"unsupported report schema: {doc.get('schema_version')!r}")
         _check_fields(doc, _REPORT_FIELDS, "report")
         try:
             detector = DetectorKind(doc["detector"])
-            variant = doc["validated_variant"]
-            variant = None if variant is None else PfaFormulaVariant(variant)
+            if doc["validated_variant"] is not None:
+                PfaFormulaVariant(doc["validated_variant"])
         except ValueError as exc:
             raise ParameterDomainError(f"report: {exc}") from None
         seed, trials = doc["seed"], doc["trials"]
         points = []
         for p in doc["points"]:
             _check_fields(p, _POINT_FIELDS, "report point")
-            mc = {k.removeprefix("mc_"): p[k]
-                  for k in _POINT_FIELDS if k.startswith("mc_")}
-            rest = {k: p[k] for k in _POINT_FIELDS if not k.startswith("mc_")}
+            n, m = _check_window(detector, p["n_cut"], p["m_ref"])
+            tau = _check_tau(p["tau"])
             points.append(GridPointRecord(
-                mc=EstimateWithCI(trials=trials, seed=seed, **mc), **rest))
-        return cls(
-            detector=detector, seed=seed, trials=trials, tol=doc["tol"],
-            points=tuple(points),
-            internally_consistent=doc["internally_consistent"],
-            insufficient_precision=doc["insufficient_precision"],
-            validated_variant=variant, verdict=doc["verdict"],
-        )
+                n, m, tau, _make_estimate(p["mc_successes"], trials, seed),
+                p["quadrature"], p["quadrature_excess_m"],
+                *_closed_forms(detector, n, m, tau)))
+        report = cls(detector, seed, trials, doc["tol"], tuple(points))
+        if (rebuilt := report._to_dict()) != doc:
+            _check_agreement(doc, rebuilt, "report")
+        return report
 
 
 def _check_fields(doc, types: dict, what: str) -> None:
@@ -446,6 +493,21 @@ def _check_fields(doc, types: dict, what: str) -> None:
         if type(doc[key]) not in allowed:
             raise ParameterDomainError(
                 f"{what} field {key!r} cannot be {doc[key]!r}")
+
+
+def _check_agreement(doc: dict, want: dict, what: str) -> None:
+    """Raise InconsistentReportError where ``doc`` differs from ``want``."""
+    for key, value in want.items():
+        got = doc[key]
+        if key == "points":
+            for i, (point, rebuilt) in enumerate(zip(got, value)):
+                _check_agreement(point, rebuilt, f"report point {i}")
+        elif not (got == value or (
+                key in ("paper", "candidate") and None not in (got, value)
+                and math.isclose(got, value, rel_tol=_CLOSED_FORM_RTOL))):
+            raise InconsistentReportError(
+                f"{what} field {key!r} disagrees with its evidence: "
+                f"stored {got!r}, derived {value!r}")
 
 
 def default_grid(kind: DetectorKind, n_cut: Sequence[int] = DEFAULT_N_CUT,
@@ -482,6 +544,15 @@ def _variants(kind: DetectorKind) -> tuple[PfaFormulaVariant, ...]:
             else (PfaFormulaVariant.PAPER,))
 
 
+def _closed_forms(kind: DetectorKind, n: int, m: int, tau: float) -> tuple:
+    """The (paper, candidate) closed forms a grid point records; candidate
+    is None for the single-form kinds and wherever the paper form refuses."""
+    paper = _closed_form(kind, n, m, tau, PfaFormulaVariant.PAPER)
+    candidate = (_closed_form(kind, n, m, tau, PfaFormulaVariant.CANDIDATE)
+                 if kind.is_full and paper is not None else None)
+    return paper, candidate
+
+
 def _quadrature(kind: DetectorKind, n: int, m: int, tau: float, tol: float,
                 excess_shape: ExcessShape = ExcessShape.M_MINUS_ONE) -> float:
     """The quadrature oracle of ``kind``; ``excess_shape`` applies to the
@@ -495,13 +566,8 @@ def adjudicate(kind: DetectorKind,
                grid: Optional[Sequence[tuple[int, int, float]]] = None,
                trials: int = 10_000_000, seed: int = 0,
                tol: float = 1e-10) -> AdjudicationReport:
-    """Compare closed forms with the oracles over a grid and pick a verdict.
-
-    A variant is validated only when the report is internally consistent
-    (Monte Carlo inside 4 sigma of the reference quadrature everywhere),
-    trials reach 10**6, the variant sits inside the 4 sigma band at every
-    point it evaluates, and the competing variant falls outside somewhere.
-    """
+    """Gather the Monte Carlo counts, both quadratures and the closed forms
+    over a grid into a report, which derives the verdict from them."""
     if grid is None:
         grid = default_grid(kind)
     grid = [(*_check_window(kind, n, m), _check_tau(t)) for n, m, t in grid]
@@ -519,79 +585,13 @@ def adjudicate(kind: DetectorKind,
         for tau, successes in zip(taus, counts):
             mc_by_point[(n, m, tau)] = _make_estimate(successes, trials, seed)
 
-    points = []
-    for n, m, tau in grid:
-        mc = mc_by_point[(n, m, tau)]
-        quad_ref = _quadrature(kind, n, m, tau, tol)
-        quad_alt = (_quadrature(kind, n, m, tau, tol, ExcessShape.M)
-                    if kind.is_full else None)
-        paper = _closed_form(kind, n, m, tau, PfaFormulaVariant.PAPER)
-        candidate = (_closed_form(kind, n, m, tau, PfaFormulaVariant.CANDIDATE)
-                     if PfaFormulaVariant.CANDIDATE in _variants(kind)
-                     and paper is not None else None)
-
-        band = 4.0 * mc.sigma
-        lo, hi = mc.estimate - band, mc.estimate + band
-        oracle_ok = lo <= quad_ref <= hi
-
-        def verdict_of(value: Optional[float]) -> str:
-            if value is None:
-                return "not-evaluated"
-            return "consistent" if lo <= value <= hi else "inconsistent"
-
-        paper_verdict = verdict_of(paper)
-        candidate_verdict = ("not-applicable" if candidate is None and paper is not None
-                             else verdict_of(candidate))
-        both = paper is not None and candidate is not None
-        discriminates = both and (
-            (paper_verdict == "consistent") != (candidate_verdict == "consistent")
-        )
-        shy = both and paper != candidate and not discriminates
-        points.append(GridPointRecord(
-            n_cut=n, m_ref=m, tau=tau, mc=mc, quadrature=quad_ref,
-            quadrature_excess_m=quad_alt, paper=paper, candidate=candidate,
-            oracle_consistent=oracle_ok, paper_verdict=paper_verdict,
-            candidate_verdict=candidate_verdict, discriminates=discriminates,
-            insufficient_precision=shy,
-        ))
-
-    internally_consistent = all(p.oracle_consistent for p in points)
-    paper_ok = all(p.paper_verdict == "consistent"
-                   for p in points if p.paper is not None)
-    candidate_ok = all(p.candidate_verdict == "consistent"
-                       for p in points if p.candidate is not None)
-    has_rivalry = any(p.paper is not None and p.candidate is not None
-                      and p.paper != p.candidate for p in points)
-    no_separation = has_rivalry and not any(p.discriminates for p in points)
-
-    validated: Optional[PfaFormulaVariant] = None
-    if not internally_consistent:
-        verdict = "no-verdict-inconsistent-oracles"
-    elif trials < _VERDICT_MIN_TRIALS:
-        verdict = "no-verdict-insufficient-trials"
-    elif not has_rivalry:
-        # Single-form kinds: validate the printed formula or fall back.
-        if paper_ok and any(p.paper is not None for p in points):
-            validated = PfaFormulaVariant.PAPER
-            verdict = "paper"
-        else:
-            verdict = "use-quadrature"
-    elif paper_ok and not candidate_ok:
-        validated = PfaFormulaVariant.PAPER
-        verdict = "paper"
-    elif candidate_ok and not paper_ok:
-        validated = PfaFormulaVariant.CANDIDATE
-        verdict = "candidate"
-    else:
-        verdict = "use-quadrature"
-
-    return AdjudicationReport(
-        detector=kind, seed=seed, trials=trials, tol=tol,
-        points=tuple(points),
-        internally_consistent=internally_consistent,
-        insufficient_precision=(trials < _VERDICT_MIN_TRIALS or no_separation),
-        validated_variant=validated, verdict=verdict,
-    )
+    return AdjudicationReport(kind, seed, trials, tol, tuple(
+        GridPointRecord(n, m, tau, mc_by_point[(n, m, tau)],
+                        _quadrature(kind, n, m, tau, tol),
+                        (_quadrature(kind, n, m, tau, tol, ExcessShape.M)
+                         if kind.is_full else None),
+                        *_closed_forms(kind, n, m, tau))
+        for n, m, tau in grid))
 
 
 def validated_pfa(kind: DetectorKind, report: AdjudicationReport,

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ParameterDomainError
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
-_INV_2_53 = 1.0 / (1 << 53)
 
 
 def stable_u64(*parts) -> int:

@@ -19,6 +19,7 @@ from gmcfar import (DetectorKind, PfaFormulaVariant, pfa_gm_full_multi,
                     pfa_gm_partial_multi, pfa_gm_partial_single,
                     quadrature_pfa_full_multi, solve_tau_partial_single)
 from gmcfar.cli import main
+from test_oracles import TAMPERINGS
 
 VERIFY_ARGS = ["verify", "--trials", "1000000", "--cfar-trials", "100000",
                "--n-grid", "1,2", "--m-grid", "2,4", "--tau-grid", "0.5,1"]
@@ -196,16 +197,18 @@ class TestPfaCommand:
         assert code == 2
         assert err.startswith("gmcfar: ")
 
-    def test_tampered_report_exits_one(self, capsys, tmp_path, verify_file):
+    @pytest.mark.parametrize("tamper", TAMPERINGS.values(), ids=TAMPERINGS)
+    def test_tampered_report_exits_one(self, capsys, tmp_path, verify_file,
+                                       tamper):
         path, _, _ = verify_file
         doc = json.loads(path.read_text())["reports"]["full-multi"]
-        doc["internally_consistent"] = False
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "pfa", "--kind", "full-multi",
-                               "--n", "2", "--m", "4", "--tau", "1.0",
-                               "--report", str(bad))
+        bad.write_text(json.dumps(tamper(doc)))
+        code, out, err = run_cli(capsys, "pfa", "--kind", "full-multi",
+                                 "--n", "2", "--m", "4", "--tau", "1.0",
+                                 "--report", str(bad))
         assert code == 1
+        assert out == ""
         assert "disagree" in err
 
 

@@ -22,6 +22,41 @@ from gmcfar import detectors, oracles
 Z95 = 1.959963984540054
 
 
+def _edit_first_point(**changes):
+    """A tampering that sets each key of ``changes`` in a report's first
+    point to its function of that point."""
+    def tamper(doc):
+        first = doc["points"][0]
+        first = {**first, **{key: change(first)
+                             for key, change in changes.items()}}
+        return {**doc, "points": [first, *doc["points"][1:]]}
+    return tamper
+
+
+_FLIP = {"consistent": "inconsistent", "inconsistent": "consistent"}
+
+# Well-formed edits of a full-multi report whose first point validates the
+# candidate form: each leaves a stored value disagreeing with its evidence.
+TAMPERINGS = {
+    "internally_consistent=False":
+        lambda doc: {**doc, "internally_consistent": False},
+    "verdict-paper":
+        lambda doc: {**doc, "verdict": "paper", "validated_variant": "paper"},
+    "paper-verdict-flipped":
+        _edit_first_point(paper_verdict=lambda p: _FLIP[p["paper_verdict"]]),
+    "discriminates-flipped":
+        _edit_first_point(discriminates=lambda p: not p["discriminates"]),
+    "ci-widened":
+        _edit_first_point(mc_ci_low=lambda p: p["mc_ci_low"] - 1e-3,
+                          mc_ci_high=lambda p: p["mc_ci_high"] + 1e-3),
+    "mc-estimate-changed":
+        _edit_first_point(mc_estimate=lambda p: (p["mc_estimate"]
+                                                 + p["mc_ci_high"]) / 2),
+    "paper-inside-band":
+        _edit_first_point(paper=lambda p: p["mc_estimate"]),
+}
+
+
 @pytest.fixture(scope="module")
 def full_multi_report():
     grid = [(2, 4, 1.0), (1, 8, 0.5)]
@@ -423,6 +458,25 @@ class TestAdjudicate:
         with pytest.raises(ParameterDomainError):
             AdjudicationReport.from_dict(damage(doc))
 
+    @pytest.mark.parametrize("tamper", TAMPERINGS.values(), ids=TAMPERINGS)
+    def test_tampered_dict_rejected(self, full_multi_report, tamper):
+        doc = json.loads(full_multi_report.to_json())
+        with pytest.raises(InconsistentReportError, match="disagree"):
+            AdjudicationReport.from_dict(tamper(doc))
+
+    def test_closed_form_one_ulp_off_loads(self, full_multi_report):
+        tamper = _edit_first_point(
+            paper=lambda p: math.nextafter(p["paper"], math.inf),
+            candidate=lambda p: math.nextafter(p["candidate"], 0.0))
+        doc = tamper(json.loads(full_multi_report.to_json()))
+        assert AdjudicationReport.from_dict(doc) == full_multi_report
+
+    @pytest.mark.parametrize("kind", list(DetectorKind), ids=lambda k: k.value)
+    def test_json_round_trip_every_kind(self, kind):
+        report = adjudicate(kind, [(1, 4, 1.0), (1, 1, 0.5)], trials=20_000,
+                            seed=3)
+        assert AdjudicationReport.from_json(report.to_json()) == report
+
     def test_grid_validation(self):
         with pytest.raises(ParameterDomainError):
             adjudicate(DetectorKind.GM_FULL_MULTI, [], trials=10)
@@ -509,8 +563,12 @@ class TestValidatedPfa:
                           2, 4, 1.0)
 
     def test_inconsistent_report_rejected(self, full_multi_report):
-        broken = dataclasses.replace(full_multi_report,
-                                     internally_consistent=False)
+        # A quadrature outside the 4 sigma band makes the oracles disagree.
+        first, *rest = full_multi_report.points
+        moved = dataclasses.replace(
+            first, quadrature=first.mc.estimate + 5.0 * first.mc.sigma)
+        broken = dataclasses.replace(full_multi_report, points=(moved, *rest))
+        assert not broken.internally_consistent
         with pytest.raises(InconsistentReportError):
             validated_pfa(DetectorKind.GM_FULL_MULTI, broken, 2, 4, 1.0)
 
