@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -50,17 +49,18 @@ def _fmt9(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _write_csv(header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write(args, doc: dict, header: Sequence[str],
+           rows: Sequence[Sequence]) -> None:
+    """Print ``doc`` as one JSON document under ``--format json``, else
+    ``header`` and ``rows`` as CSV with floats in their shortest repr."""
+    if args.format == "json":
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        return
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    csv.writer(out).writerows(
+        [repr(v) if isinstance(v, float) else v for v in row]
+        for row in [header, *rows])
     sys.stdout.write(out.getvalue())
-
-
-def _write_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _window_config(args) -> tuple[DetectorKind, int, int]:
@@ -150,16 +150,12 @@ def _cmd_pfa(args) -> int:
                 )
         rows.append((name, value))
 
-    if args.format == "json":
-        _write_json({
-            "kind": kind.value, "n_cut": n_cut, "m_ref": m_ref, "tau": tau,
-            "results": [{"variant": name, "pfa": value}
-                        for name, value in rows],
-        })
-    else:
-        _write_csv(["kind", "n_cut", "m_ref", "tau", "variant", "pfa"],
-                   [(kind.value, n_cut, m_ref, tau, name, value)
-                    for name, value in rows])
+    _write(args, {"kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
+                  "tau": tau, "results": [{"variant": name, "pfa": value}
+                                          for name, value in rows]},
+           ["kind", "n_cut", "m_ref", "tau", "variant", "pfa"],
+           [(kind.value, n_cut, m_ref, tau, name, value)
+            for name, value in rows])
     return 0
 
 
@@ -169,18 +165,9 @@ def _cmd_threshold(args) -> int:
                           max_iterations=args.max_iterations)
     pfa_of, solve = _pfa_and_solver(args, kind, n_cut, m_ref)
     tau = solve(config)
-    achieved = pfa_of(tau)
-    if args.format == "json":
-        _write_json({
-            "kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
-            "target_pfa": config.target_pfa, "tau": tau,
-            "achieved_pfa": achieved,
-        })
-    else:
-        _write_csv(
-            ["kind", "n_cut", "m_ref", "target_pfa", "tau", "achieved_pfa"],
-            [(kind.value, n_cut, m_ref, config.target_pfa, tau, achieved)],
-        )
+    header = ["kind", "n_cut", "m_ref", "target_pfa", "tau", "achieved_pfa"]
+    row = (kind.value, n_cut, m_ref, config.target_pfa, tau, pfa_of(tau))
+    _write(args, dict(zip(header, row)), header, [row])
     return 0
 
 
@@ -189,11 +176,9 @@ def _cmd_simulate(args) -> int:
     params = ParetoParams(shape=args.alpha, scale=args.beta)
     row = CfarGridPoint(params, empirical_pfa(
         kind, n_cut, m_ref, args.tau, params, args.trials, args.seed)).row()
-    if args.format == "json":
-        _write_json({"kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
-                     "tau": args.tau, **row, "seed": args.seed})
-    else:
-        _write_csv(list(row), [list(row.values())])
+    _write(args, {"kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
+                  "tau": args.tau, **row, "seed": args.seed},
+           list(row), [list(row.values())])
     return 0
 
 
@@ -288,8 +273,7 @@ def _cmd_verify(args) -> int:
         "trials": args.trials,
         "cfar_trials": args.cfar_trials,
         "tol": args.tol,
-        "reports": {name: json.loads(r.to_json())
-                    for name, r in reports.items()},
+        "reports": {name: r._to_dict() for name, r in reports.items()},
         "cfar": [json.loads(c.to_json()) for c in cfar_reports],
         "reductions": reductions,
         "passed": passed,
@@ -302,13 +286,6 @@ def _cmd_verify(args) -> int:
             f"cannot write report {args.out}: {exc}") from exc
     sys.stdout.write("\n".join(summary) + "\n")
     return 0 if passed else 1
-
-
-def _check_sweep_rows(rows: float, flag: str) -> None:
-    if not rows <= _MAX_SWEEP_ROWS:
-        raise ParameterDomainError(
-            f"{flag} with this --step gives more than {_MAX_SWEEP_ROWS} "
-            "rows")
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -326,12 +303,10 @@ def _sweep_taus(args) -> list[float]:
     if not 0.0 <= lo <= hi:
         raise ParameterDomainError("--tau-range needs 0 <= LO <= HI")
     top = hi + 1e-12 * max(1.0, abs(hi))
-    _check_sweep_rows((top - lo) // step + 1.0, "--tau-range")
-    taus, value, index = [], lo, 0
-    while value <= top:
+    taus: list[float] = []
+    while (len(taus) <= _MAX_SWEEP_ROWS
+           and (value := lo + len(taus) * step) <= top):
         taus.append(min(value, hi))
-        index += 1
-        value = lo + index * step
     return taus
 
 
@@ -342,13 +317,9 @@ def _sweep_targets(args) -> list[float]:
         raise ParameterDomainError("--step is a ratio > 1 for --pfa-range")
     if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
         raise ParameterDomainError("--pfa-range values must lie in (0, 1)")
-    # The geometric walk stops within 1e-9 of hi, or appends hi past it.
-    _check_sweep_rows(
-        math.ceil((abs(math.log(hi) - math.log(lo)) - 1e-9) / math.log(step))
-        + 1.0, "--pfa-range")
     targets, value = [], lo
     ratio = step if hi > lo else 1.0 / step
-    for _ in range(_MAX_SWEEP_ROWS):
+    for _ in range(_MAX_SWEEP_ROWS + 1):
         targets.append(value)
         if abs(value - hi) <= 1e-9 * hi:
             break
@@ -366,26 +337,23 @@ def _cmd_sweep(args) -> int:
         raise ParameterDomainError(
             "exactly one of --tau-range or --pfa-range is required"
         )
-    # Parse the range before _pfa_and_solver, which may run an adjudication.
-    if args.tau_range is not None:
-        taus = _sweep_taus(args)
-        pfa_of, _ = _pfa_and_solver(args, kind, n_cut, m_ref)
-        rows = [(tau, pfa_of(tau)) for tau in taus]
-        header = ["tau", "pfa"]
+    # Walk the range before _pfa_and_solver, which may run an adjudication.
+    # Each walk stops one value past the cap, so its length is the row count.
+    by_tau = args.tau_range is not None
+    walk = _sweep_taus(args) if by_tau else _sweep_targets(args)
+    if len(walk) > _MAX_SWEEP_ROWS:
+        raise ParameterDomainError(
+            f"{'--tau-range' if by_tau else '--pfa-range'} with this --step "
+            f"gives more than {_MAX_SWEEP_ROWS} rows")
+    pfa_of, solve = _pfa_and_solver(args, kind, n_cut, m_ref)
+    if by_tau:
+        header, rows = ["tau", "pfa"], [(tau, pfa_of(tau)) for tau in walk]
     else:
-        targets = _sweep_targets(args)
-        _, solve = _pfa_and_solver(args, kind, n_cut, m_ref)
-        rows = [(target, solve(SolverConfig(target_pfa=target)))
-                for target in targets]
-        header = ["pfa", "tau"]
-
-    if args.format == "json":
-        _write_json({
-            "kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
-            "columns": header, "rows": [[a, b] for a, b in rows],
-        })
-    else:
-        _write_csv(header, rows)
+        header, rows = ["pfa", "tau"], [
+            (target, solve(SolverConfig(target_pfa=target)))
+            for target in walk]
+    _write(args, {"kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
+                  "columns": header, "rows": rows}, header, rows)
     return 0
 
 

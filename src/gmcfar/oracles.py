@@ -466,17 +466,24 @@ class AdjudicationReport:
                 PfaFormulaVariant(doc["validated_variant"])
         except ValueError as exc:
             raise ParameterDomainError(f"report: {exc}") from None
-        seed, trials = doc["seed"], doc["trials"]
+        seed, trials = _check_seed(doc["seed"]), doc["trials"]
+        tol = _check_tol(doc["tol"])
+        if not doc["points"]:
+            raise ParameterDomainError("report points must be non-empty")
         points = []
         for p in doc["points"]:
             _check_fields(p, _POINT_FIELDS, "report point")
             n, m = _check_window(detector, p["n_cut"], p["m_ref"])
             tau = _check_tau(p["tau"])
+            if (p["quadrature_excess_m"] is None) == detector.is_full:
+                raise ParameterDomainError(
+                    "report point field 'quadrature_excess_m' cannot be "
+                    f"{p['quadrature_excess_m']!r} for {detector.value}")
             points.append(GridPointRecord(
                 n, m, tau, _make_estimate(p["mc_successes"], trials, seed),
                 p["quadrature"], p["quadrature_excess_m"],
                 *_closed_forms(detector, n, m, tau)))
-        report = cls(detector, seed, trials, doc["tol"], tuple(points))
+        report = cls(detector, seed, trials, tol, tuple(points))
         if (rebuilt := report._to_dict()) != doc:
             _check_agreement(doc, rebuilt, "report")
         return report

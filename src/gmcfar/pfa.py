@@ -45,11 +45,11 @@ class PfaFormulaVariant(enum.Enum):
     CANDIDATE = "candidate"
 
 
-def _check_count(name: str, value, minimum: int = 1) -> int:
+def _check_count(name: str, value) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ParameterDomainError(f"{name} must be >= {minimum}, got {value}")
+    if value < 1:
+        raise ParameterDomainError(f"{name} must be >= 1, got {value}")
     return int(value)
 
 

@@ -184,7 +184,11 @@ class TestPfaCommand:
         lambda good: {"reports": []},
         lambda good: {"schema_version": 1, "detector": "full-multi"},
         lambda good: {**good, "validated_variant": "quadrature"},
-    ], ids=["list", "reports-list", "no-seed", "quadrature-variant"])
+        lambda good: {**good, "points": [
+            {**good["points"][0], "quadrature_excess_m": None},
+            *good["points"][1:]]},
+    ], ids=["list", "reports-list", "no-seed", "quadrature-variant",
+            "null-excess-m"])
     def test_malformed_report_exits_two(self, capsys, tmp_path, verify_file,
                                         damage):
         path, _, _ = verify_file
@@ -361,6 +365,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize("range_args", [
         ("--tau-range", "0:1", "--step", "1e-6"),
         ("--pfa-range", "1e-1:1e-12", "--step", "1.0001"),
+        # Walks of 10,001 rows, one past the cap.
+        ("--tau-range", "0:999.999999999", "--step", "0.1"),
+        ("--pfa-range", "0.5:2.283648659013154e-05", "--step", "1.001"),
     ])
     def test_oversized_range_exits_before_adjudication(self, capsys,
                                                        range_args,
@@ -381,6 +388,28 @@ class TestSweepCommand:
                                "--n", "4", "--tau-range", "0:10000",
                                "--step", "1")
         assert (code, out) == (2, "")
+        code, out, _ = run_cli(capsys, "sweep", "--kind", "partial-single",
+                               "--n", "4", "--pfa-range",
+                               "0.1:0.03679346237926673", "--step", "1.0001")
+        assert code == 0
+        assert len(csv_rows(out)) == 1 + 10_000
+
+    @pytest.mark.parametrize("range_args, columns", [
+        (("--tau-range", "0.5:1.5", "--step", "0.5"), ["tau", "pfa"]),
+        (("--pfa-range", "1e-2:1e-4"), ["pfa", "tau"]),
+    ])
+    def test_json_layout(self, capsys, no_adjudication, range_args, columns):
+        code, out, _ = run_cli(capsys, "sweep", "--kind", "partial-single",
+                               "--n", "4", *range_args, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc == {"kind": "partial-single", "n_cut": 1, "m_ref": 4,
+                       "columns": columns, "rows": doc["rows"]}
+        assert len(doc["rows"]) == 3
+        for row in doc["rows"]:
+            values = dict(zip(columns, row))
+            assert values["pfa"] == pytest.approx(
+                pfa_gm_partial_single(4, values["tau"]), rel=1e-12)
 
 
 class TestSampleCommand:

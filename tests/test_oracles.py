@@ -450,11 +450,25 @@ class TestAdjudicate:
         lambda doc: {**doc, "points": [{**doc["points"][0], "tau": "1"}]},
         lambda doc: {**doc, "points": [{k: v for k, v in doc["points"][0].items()
                                         if k != "mc_successes"}]},
+        lambda doc: {**doc, "tol": 0.5},
+        lambda doc: {**doc, "tol": 0},
+        lambda doc: {**doc, "seed": -1},
+        lambda doc: {**doc, "seed": 2 ** 70},
+        lambda doc: dataclasses.replace(AdjudicationReport.from_dict(doc),
+                                        points=())._to_dict(),
+        _edit_first_point(quadrature_excess_m=lambda p: None),
+        ("partial_multi_report",
+         _edit_first_point(quadrature_excess_m=lambda p: 0.5)),
     ], ids=["list", "no-seed", "bool-trials", "str-seed", "points-object",
             "unknown-detector", "unknown-variant", "quadrature-variant",
-            "point-not-object", "str-tau", "no-mc-successes"])
-    def test_malformed_dict_rejected(self, low_trials_report, damage):
-        doc = json.loads(low_trials_report.to_json())
+            "point-not-object", "str-tau", "no-mc-successes", "tol-half",
+            "tol-zero", "negative-seed", "seed-2**70", "no-points",
+            "full-null-excess-m", "partial-excess-m"])
+    def test_malformed_dict_rejected(self, request, damage):
+        # A damage without a named report damages low_trials_report.
+        name, damage = (damage if isinstance(damage, tuple)
+                        else ("low_trials_report", damage))
+        doc = json.loads(request.getfixturevalue(name).to_json())
         with pytest.raises(ParameterDomainError):
             AdjudicationReport.from_dict(damage(doc))
 

@@ -78,6 +78,14 @@ class TestNumericSolve:
                                 config, partial_multi_report)
         assert abs(pfa_gm_partial_multi(3, 8, tau) - 1e-3) <= config.abs_tol
 
+    def test_bracket_end_already_within_tolerance(self,
+                                                  partial_multi_report):
+        # Pfa(2, 4, tau=1) is 0.1875, so the first bracket end is the root.
+        assert pfa_gm_partial_multi(2, 4, 1.0) == 0.1875
+        tau = solve_tau_numeric(DetectorKind.GM_PARTIAL_MULTI, 2, 4,
+                                SolverConfig(0.1875), partial_multi_report)
+        assert tau == 1.0
+
     def test_full_multi_round_trip(self, full_multi_report):
         config = SolverConfig(1e-4)
         tau = solve_tau_numeric(DetectorKind.GM_FULL_MULTI, 2, 8,

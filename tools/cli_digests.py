@@ -12,7 +12,8 @@ checkouts print the same lines exactly when every call gives the same bytes
 and exit code, so comparing the CLI output of two versions is a ``diff`` of
 two runs.  The set covers every kind under each ``pfa`` variant (CSV and
 JSON), ``--all-variants`` (also at M = 1), ``threshold``, both ``sweep``
-modes, ``simulate``, ``sample``, a reduced ``verify`` (its report file and
+modes in both formats, a ``sweep`` at its 10,000-row cap and two just past
+it, ``simulate``, ``sample``, a reduced ``verify`` (its report file and
 stdout), usage errors and ``--help``.  A ``simulate`` at 8x64 and 4x32 and a
 ``verify`` at M = 8 and 32 also reach numpy's own row reductions, which
 windows under 8 (sums) and 32 (minima) cells do not.
@@ -62,6 +63,8 @@ def invocations() -> list[list[str]]:
              "--format", "json"],
             ["sweep", *window(*w), "--tau-range", "0:2", "--step", "0.25",
              "--report", REPORT],
+            ["sweep", *window(*w), "--tau-range", "0:2", "--step", "0.25",
+             "--report", REPORT, "--format", "json"],
             ["sweep", *window(*w), "--pfa-range", "1e-1:1e-7", "--step", "7",
              "--report", REPORT, "--format", "json"],
             ["simulate", *window(*w), "--tau", "0.8", "--alpha", "3",
@@ -107,6 +110,12 @@ def invocations() -> list[list[str]]:
          "--step", "0"],
         ["sweep", *window("full-multi", "4", "16"), "--tau-range", "0:1",
          "--step", "1e-6"],
+        ["sweep", *window("partial-single", "4", None), "--tau-range",
+         "0:9999", "--step", "1"],
+        ["sweep", *window("partial-single", "4", None), "--tau-range",
+         "0:10000", "--step", "1"],
+        ["sweep", *window("partial-single", "4", None), "--pfa-range",
+         "1e-1:1e-12", "--step", "1.0001"],
         ["sweep", *window("full-multi", "4", "16"), "--pfa-range",
          "1e-2:1e-4:1"],
         ["sweep", *window("full-multi", "4", "16"), "--pfa-range", "0:1e-4"],
