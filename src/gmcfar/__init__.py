@@ -25,9 +25,10 @@ from .errors import (GmCfarError, InconsistentReportError,
                      QuantileOverflowError, UnreachableTargetError,
                      UnsupportedConfigurationError)
 from .oracles import (AdjudicationReport, EstimateWithCI, ExcessShape,
-                      GridPointRecord, adjudicate, default_grid, mc_dual_pfa,
-                      quadrature_pfa_full_multi, quadrature_pfa_partial_multi,
-                      validated_pfa, wilson_interval)
+                      GridPointRecord, adjudicate, adjudicate_kinds,
+                      default_grid, mc_dual_pfa, quadrature_pfa_full_multi,
+                      quadrature_pfa_partial_multi, validated_pfa,
+                      wilson_interval)
 from .pfa import (PfaFormulaVariant, gamma_tail_poisson_sum,
                   pfa_gm_full_multi, pfa_gm_full_single, pfa_gm_partial_multi,
                   pfa_gm_partial_single)
@@ -62,6 +63,7 @@ __all__ = [
     "UnsupportedConfigurationError",
     "Window",
     "adjudicate",
+    "adjudicate_kinds",
     "cfar_grid_check",
     "default_grid",
     "dual_to_pareto",

@@ -26,8 +26,8 @@ from .errors import (GmCfarError, InconsistentReportError,
                      ParameterDomainError, UnsupportedConfigurationError)
 from .oracles import (DEFAULT_M_REF, DEFAULT_N_CUT, DEFAULT_TAUS,
                       AdjudicationReport, PfaFormulaVariant, _closed_form,
-                      _quadrature, _variants, adjudicate, default_grid,
-                      validated_pfa)
+                      _quadrature, _variants, adjudicate, adjudicate_kinds,
+                      default_grid, validated_pfa)
 from .rng import RandomStream
 from .simulate import (CfarGridPoint, SweepSpec, cfar_grid_check,
                        empirical_pfa)
@@ -217,13 +217,12 @@ def _cmd_verify(args) -> int:
     m_grid = _parse_grid(args.m_grid, int, "--m-grid")
     tau_grid = _parse_grid(args.tau_grid, float, "--tau-grid")
 
-    reports = {}
+    reports = adjudicate_kinds(
+        {kind: default_grid(kind, n_grid, m_grid, tau_grid)
+         for kind in DetectorKind},
+        trials=args.trials, seed=args.seed, tol=args.tol)
     summary = []
-    for kind in DetectorKind:
-        grid = default_grid(kind, n_grid, m_grid, tau_grid)
-        report = adjudicate(kind, grid, trials=args.trials, seed=args.seed,
-                            tol=args.tol)
-        reports[kind.value] = report
+    for kind, report in reports.items():
         summary.append(
             f"{kind.value}: verdict={report.verdict} "
             f"oracles={'ok' if report.internally_consistent else 'DISAGREE'} "
@@ -273,7 +272,7 @@ def _cmd_verify(args) -> int:
         "trials": args.trials,
         "cfar_trials": args.cfar_trials,
         "tol": args.tol,
-        "reports": {name: r._to_dict() for name, r in reports.items()},
+        "reports": {kind.value: r._to_dict() for kind, r in reports.items()},
         "cfar": [json.loads(c.to_json()) for c in cfar_reports],
         "reductions": reductions,
         "passed": passed,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -115,11 +116,15 @@ def _check_batch(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _row_reduce(op: np.ufunc, cells: np.ndarray, columns: int) -> np.ndarray:
-    """``op.reduce(cells, axis=1)`` exactly; by columns below ``columns``."""
+def _row_reduce(op: np.ufunc, cells: np.ndarray, columns: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``op.reduce(cells, axis=1, out=out)`` exactly; by columns below
+    ``columns``."""
     if cells.shape[1] >= columns:
-        return op.reduce(cells, axis=1)
-    out = cells[:, 0].copy()
+        return op.reduce(cells, axis=1, out=out)
+    if out is None:
+        out = np.empty(cells.shape[0])
+    np.copyto(out, cells[:, 0])
     for column in cells.T[1:]:
         op(out, column, out=out)
     return out

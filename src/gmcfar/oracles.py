@@ -13,7 +13,12 @@ deterministic counterpart.
 
 ``adjudicate`` gathers that evidence over a grid; its report derives at most
 one verdict per detector from it, as does a report loaded from JSON.
-``validated_pfa`` is the dispatch the solver and CLI bind to.
+``adjudicate_kinds`` gathers several kinds' reports at once.  Monte Carlo
+counts are keyed by the window, not the detector kind: all four rules test
+sum X, sum Y and min Y of the same exponential windows, so every kind counts
+on one draw of each window, and a single-pulse estimate equals its
+multi-pulse estimate at N = 1.  ``validated_pfa`` is the dispatch the solver
+and CLI bind to.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import functools
 import json
 import math
 import operator
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -169,13 +174,21 @@ def _check_window(kind: DetectorKind, n_cut, m_ref) -> tuple[int, int]:
     return n, m
 
 
+def _batch_rows(n: int, m: int, trials: int) -> int:
+    """Windows a Monte Carlo batch holds: at most ``_BATCH_CELLS`` cells, at
+    least one window."""
+    return max(1, min(trials, _BATCH_CELLS // (n + m)))
+
+
 def _mc_sum(base: RandomStream, n: int, m: int, trials: int, count):
     """Sum, in batch order, of ``count(cut, ref)`` over ``(size, n)`` and
     ``(size, m)`` unit exponentials from the ``cut`` and ``ref`` children of
-    ``base``, at most ``_BATCH_CELLS`` cells a batch.  Window ``i`` always
-    reads the same stream indices, so the sum does not depend on the batch."""
+    ``base``, ``_batch_rows`` windows a batch.  Window ``i`` always reads the
+    same stream indices, so the sum does not depend on the batch.  The draw
+    is a function of ``base`` alone: callers that key ``base`` by the window
+    only, as the dual-domain oracle does, count every rule on one draw."""
     s_cut, s_ref = base.child("cut"), base.child("ref")
-    batch = max(1, min(trials, _BATCH_CELLS // (n + m)))
+    batch = _batch_rows(n, m, trials)
     total = 0
     for done in range(0, trials, batch):
         size = min(batch, trials - done)
@@ -188,26 +201,39 @@ def _mc_sum(base: RandomStream, n: int, m: int, trials: int, count):
     return total
 
 
-def _mc_dual_counts(kind: DetectorKind, n_cut: int, m_ref: int,
-                    taus: Sequence[float], trials: int, seed: int) -> list[int]:
-    """Success counts P(margin > 0) for several taus over shared samples.
+def _mc_dual_counts(n_cut: int, m_ref: int,
+                    rules: Sequence[tuple[bool, float]], trials: int,
+                    seed: int) -> list[int]:
+    """Success counts P(margin > 0), one per ``(full, tau)`` of ``rules``,
+    over one draw of the (n_cut, m_ref) window.
 
-    The stream tags exclude tau, so every tau sees the same simulated
-    windows and tau-invariance fixtures hold exactly."""
-    base = RandomStream(seed, 0).child("dual", kind.value, n_cut, m_ref)
-    taus = [_check_tau(t) for t in taus]
+    A ``full`` rule is the minimum-anchored sum X > (N - M tau) Ymin +
+    tau sum Y, any other the scale-weighted sum X > tau sum Y.  The stream
+    is keyed by the window alone, so every rule and tau sees the same
+    simulated windows: the detector kinds share one draw a window, a
+    single-pulse count equals its multi-pulse count at N = 1, and
+    tau-invariance fixtures hold exactly.  The row statistics, right-hand
+    sides and masks live in buffers allocated once a call."""
+    base = RandomStream(seed, 0).child("dual", n_cut, m_ref)
+    rules = [(full, _check_tau(tau)) for full, tau in rules]
+    any_full = any(full for full, _ in rules)
+    rows = _batch_rows(n_cut, m_ref, trials)
+    stats, hits = np.empty((5, rows)), np.empty(rows, dtype=bool)
 
     def count(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        sum_x = _row_reduce(np.add, xs, _SUM_COLUMNS)
-        sum_y = _row_reduce(np.add, ys, _SUM_COLUMNS)
-        if kind.is_full:
-            y_min = _row_reduce(np.minimum, ys, _MIN_COLUMNS)
+        size = len(xs)
+        sum_x, sum_y, y_min, rhs, anchor = stats[:, :size]
+        mask = hits[:size]
+        _row_reduce(np.add, xs, _SUM_COLUMNS, sum_x)
+        _row_reduce(np.add, ys, _SUM_COLUMNS, sum_y)
+        if any_full:
+            _row_reduce(np.minimum, ys, _MIN_COLUMNS, y_min)
         counts = []
-        for tau in taus:
-            rhs = tau * sum_y
-            if kind.is_full:
-                rhs += (n_cut - m_ref * tau) * y_min
-            counts.append(np.count_nonzero(sum_x > rhs))
+        for full, tau in rules:
+            np.multiply(sum_y, tau, out=rhs)
+            if full:
+                rhs += np.multiply(y_min, n_cut - m_ref * tau, out=anchor)
+            counts.append(np.count_nonzero(np.greater(sum_x, rhs, out=mask)))
         return np.array(counts, dtype=np.int64)
 
     return _mc_sum(base, n_cut, m_ref, trials, count).tolist()
@@ -220,12 +246,15 @@ def mc_dual_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     Works in the dual domain where every detector margin is a linear
     combination of exponential sums: the scale-weighted rules reject when
     sum X* > tau * sum Y*, the minimum-anchored rules when
-    sum X* > (N - M tau) Y*min + tau * sum Y*.
+    sum X* > (N - M tau) Y*min + tau * sum Y*.  The draw depends on the
+    window and seed only, so a single-pulse estimate equals the estimate of
+    its multi-pulse kind at N = 1, success for success.
     """
     n_cut, m_ref = _check_window(kind, n_cut, m_ref)
     trials = _check_count("trials", trials)
     seed = _check_seed(seed)
-    counts = _mc_dual_counts(kind, n_cut, m_ref, [tau], trials, seed)
+    counts = _mc_dual_counts(n_cut, m_ref, [(kind.is_full, tau)], trials,
+                             seed)
     return _make_estimate(counts[0], trials, seed)
 
 
@@ -569,36 +598,49 @@ def _quadrature(kind: DetectorKind, n: int, m: int, tau: float, tol: float,
     return quadrature_pfa_partial_multi(n, m, tau, tol)
 
 
+def adjudicate_kinds(grids: Mapping[DetectorKind, Optional[Sequence]],
+                     trials: int = 10_000_000, seed: int = 0,
+                     tol: float = 1e-10) -> dict:
+    """The ``adjudicate`` report of each kind of ``grids`` over its grid
+    (None for the default grid), drawing each distinct window once for all
+    the kinds."""
+    grids = {kind: [(*_check_window(kind, n, m), _check_tau(t))
+                    for n, m, t in (default_grid(kind) if grid is None
+                                    else grid)]
+             for kind, grid in grids.items()}
+    if not all(grids.values()):
+        raise ParameterDomainError("grid must be non-empty")
+    trials = _check_count("trials", trials)
+    seed = _check_seed(seed)
+    tol = _check_tol(tol)
+
+    # One draw per distinct window, counted under each rule tested there.
+    points = dict.fromkeys((kind.is_full, n, m, tau)
+                           for kind, grid in grids.items()
+                           for n, m, tau in grid)
+    mc = {}
+    for n, m in dict.fromkeys((n, m) for _, n, m, _ in points):
+        rules = [(full, tau) for full, a, b, tau in points if (a, b) == (n, m)]
+        counts = _mc_dual_counts(n, m, rules, trials, seed)
+        for (full, tau), successes in zip(rules, counts):
+            mc[full, n, m, tau] = _make_estimate(successes, trials, seed)
+
+    return {kind: AdjudicationReport(kind, seed, trials, tol, tuple(
+        GridPointRecord(n, m, tau, mc[kind.is_full, n, m, tau],
+                        _quadrature(kind, n, m, tau, tol),
+                        (_quadrature(kind, n, m, tau, tol, ExcessShape.M)
+                         if kind.is_full else None),
+                        *_closed_forms(kind, n, m, tau))
+        for n, m, tau in grid)) for kind, grid in grids.items()}
+
+
 def adjudicate(kind: DetectorKind,
                grid: Optional[Sequence[tuple[int, int, float]]] = None,
                trials: int = 10_000_000, seed: int = 0,
                tol: float = 1e-10) -> AdjudicationReport:
     """Gather the Monte Carlo counts, both quadratures and the closed forms
     over a grid into a report, which derives the verdict from them."""
-    if grid is None:
-        grid = default_grid(kind)
-    grid = [(*_check_window(kind, n, m), _check_tau(t)) for n, m, t in grid]
-    if not grid:
-        raise ParameterDomainError("grid must be non-empty")
-    trials = _check_count("trials", trials)
-    seed = _check_seed(seed)
-    tol = _check_tol(tol)
-
-    # One shared-sample MC pass per unique (n, m); tau reuses the draws.
-    mc_by_point: dict[tuple[int, int, float], EstimateWithCI] = {}
-    for n, m in dict.fromkeys((n, m) for n, m, _ in grid):
-        taus = list(dict.fromkeys(t for a, b, t in grid if (a, b) == (n, m)))
-        counts = _mc_dual_counts(kind, n, m, taus, trials, seed)
-        for tau, successes in zip(taus, counts):
-            mc_by_point[(n, m, tau)] = _make_estimate(successes, trials, seed)
-
-    return AdjudicationReport(kind, seed, trials, tol, tuple(
-        GridPointRecord(n, m, tau, mc_by_point[(n, m, tau)],
-                        _quadrature(kind, n, m, tau, tol),
-                        (_quadrature(kind, n, m, tau, tol, ExcessShape.M)
-                         if kind.is_full else None),
-                        *_closed_forms(kind, n, m, tau))
-        for n, m, tau in grid))
+    return adjudicate_kinds({kind: grid}, trials, seed, tol)[kind]
 
 
 def validated_pfa(kind: DetectorKind, report: AdjudicationReport,

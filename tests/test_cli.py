@@ -15,7 +15,8 @@ import subprocess
 import pytest
 
 import gmcfar.cli
-from gmcfar import (DetectorKind, PfaFormulaVariant, pfa_gm_full_multi,
+from gmcfar import (DetectorKind, PfaFormulaVariant, RandomStream,
+                    adjudicate, default_grid, pfa_gm_full_multi,
                     pfa_gm_partial_multi, pfa_gm_partial_single,
                     quadrature_pfa_full_multi, solve_tau_partial_single)
 from gmcfar.cli import main
@@ -481,6 +482,48 @@ class TestVerifyCommand:
         assert code_a == code_b == 0
         assert out_a == out_b
         assert first.read_bytes() == second.read_bytes()
+
+    def test_shared_draws_change_no_kind_evidence(self, capsys, tmp_path):
+        # The kinds share one draw per window, and the single-pulse kinds
+        # share (1, m) with the multi-pulse kinds; each report still equals
+        # that kind's adjudication on its own.
+        n_grid, m_grid, taus = (1, 2), (2, 4), (0.5, 1.0)
+        path = tmp_path / "r.json"
+        run_cli(capsys, "verify", "--trials", "50000", "--cfar-trials",
+                "2000", "--n-grid", "1,2", "--m-grid", "2,4", "--tau-grid",
+                "0.5,1", "--seed", "3", "--out", str(path))
+        reports = json.loads(path.read_text())["reports"]
+        for kind in DetectorKind:
+            alone = adjudicate(kind, default_grid(kind, n_grid, m_grid, taus),
+                               trials=50_000, seed=3, tol=1e-10)
+            assert reports[kind.value] == alone._to_dict()
+
+    def test_draws_do_not_outlive_a_call(self, capsys, tmp_path, monkeypatch):
+        # Each verify draws every distinct window once, and the CFAR stage
+        # its windows once per clutter point; a second call at the same
+        # seed draws all of it again.
+        drawn = []
+        uniforms = RandomStream.uniforms
+
+        def counting(stream, count, start=0):
+            drawn.append(count)
+            return uniforms(stream, count, start)
+
+        monkeypatch.setattr(RandomStream, "uniforms", counting)
+        trials, cfar_trials = 20_000, 2_000
+        windows = {(1, 2), (1, 4), (2, 2), (2, 4)}
+        cfar_points = (len(gmcfar.cli._CFAR_ALPHAS)
+                       * len(gmcfar.cli._CFAR_BETAS))
+        want = (sum(trials * (n + m) for n, m in windows)
+                + cfar_points * cfar_trials * ((1 + 8) + (2 + 8)))
+        for _ in range(2):
+            drawn.clear()
+            code, _, _ = run_cli(
+                capsys, "verify", "--trials", str(trials), "--cfar-trials",
+                str(cfar_trials), "--n-grid", "1,2", "--m-grid", "2,4",
+                "--tau-grid", "0.5,1", "--out", str(tmp_path / "r.json"))
+            assert code == 0
+            assert sum(drawn) == want
 
     def test_bad_grid_exits_two(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "verify", "--m-grid", "oops",

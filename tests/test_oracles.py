@@ -212,7 +212,7 @@ class TestMcDualPfa:
         # right-hand sides: tau sum Y, or (N - M tau) Ymin + tau sum Y.
         # The windows take both the column-wise and the numpy reductions.
         taus, trials, seed = [0.0, 0.5, 2.0], 20_000, 4
-        base = RandomStream(seed, 0).child("dual", kind.value, n, m)
+        base = RandomStream(seed, 0).child("dual", n, m)
 
         def textbook(xs, ys):
             sum_x, sum_y, y_min = xs.sum(axis=1), ys.sum(axis=1), ys.min(axis=1)
@@ -221,8 +221,23 @@ class TestMcDualPfa:
             return np.array([np.count_nonzero(sum_x > r) for r in rhs])
 
         want = oracles._mc_sum(base, n, m, trials, textbook).tolist()
-        got = oracles._mc_dual_counts(kind, n, m, taus, trials, seed)
+        got = oracles._mc_dual_counts(
+            n, m, [(kind.is_full, tau) for tau in taus], trials, seed)
         assert got == want
+
+
+    @pytest.mark.parametrize("single, multi", [
+        (DetectorKind.GM_PARTIAL_SINGLE, DetectorKind.GM_PARTIAL_MULTI),
+        (DetectorKind.GM_FULL_SINGLE, DetectorKind.GM_FULL_MULTI),
+    ])
+    @pytest.mark.parametrize("m, tau", [(1, 0.5), (5, 0.25), (40, 1.0)])
+    def test_single_pulse_equals_multi_pulse_at_one_cut(self, single, multi,
+                                                        m, tau):
+        # The draw is keyed by the window, and the single-pulse rules are
+        # the multi-pulse rules at N = 1.
+        kw = dict(trials=20_000, seed=8)
+        assert (mc_dual_pfa(single, 1, m, tau, **kw)
+                == mc_dual_pfa(multi, 1, m, tau, **kw))
 
 
 class TestQuadraturePartialMulti:

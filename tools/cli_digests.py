@@ -14,7 +14,9 @@ two runs.  The set covers every kind under each ``pfa`` variant (CSV and
 JSON), ``--all-variants`` (also at M = 1), ``threshold``, both ``sweep``
 modes in both formats, a ``sweep`` at its 10,000-row cap and two just past
 it, ``simulate``, ``sample``, a reduced ``verify`` (its report file and
-stdout), usage errors and ``--help``.  A ``simulate`` at 8x64 and 4x32 and a
+stdout) and one whose ``--n-grid`` leaves out 1, so that the single-pulse
+kinds draw windows no multi-pulse kind shares, usage errors and
+``--help``.  A ``simulate`` at 8x64 and 4x32 and a
 ``verify`` at M = 8 and 32 also reach numpy's own row reductions, which
 windows under 8 (sums) and 32 (minima) cells do not.
 """
@@ -81,6 +83,11 @@ def invocations() -> list[list[str]]:
     calls.append(["verify", "--trials", "100000", "--cfar-trials", "20000",
                   "--n-grid", "1,2", "--m-grid", "8,32", "--tau-grid", "0.5",
                   "--out", "{tmp}/wide.json"])
+    # Monte Carlo draws are keyed by window, so here the single-pulse
+    # windows (1, m) are drawn for the single-pulse kinds alone.
+    calls.append(["verify", "--trials", "1000000", "--cfar-trials", "20000",
+                  "--n-grid", "2,4", "--m-grid", "1,2,4", "--tau-grid",
+                  "0.5,1", "--out", "{tmp}/apart.json"])
     calls += [
         ["threshold", *window(*WINDOWS[3]), "--pfa", "1e-4",
          "--trials", "20000"],
