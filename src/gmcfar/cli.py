@@ -273,7 +273,7 @@ def _cmd_verify(args) -> int:
         "cfar_trials": args.cfar_trials,
         "tol": args.tol,
         "reports": {kind.value: r._to_dict() for kind, r in reports.items()},
-        "cfar": [json.loads(c.to_json()) for c in cfar_reports],
+        "cfar": [c._to_dict() for c in cfar_reports],
         "reductions": reductions,
         "passed": passed,
     }

@@ -1,12 +1,13 @@
-"""Counter-based random streams for reproducible (and parallelizable) sampling.
+"""Addressable random streams for reproducible (and parallelizable) sampling.
 
 A :class:`RandomStream` is a value, not a stateful generator: the variate at
 index ``i`` of a given ``(seed, stream_id)`` pair is a pure function of
 ``(seed, stream_id, i)``.  Work can therefore be split into arbitrary batches,
 scheduled on any number of threads, and still reproduce byte-identical
-results.  The underlying bit generator is Philox-4x64, whose 256-bit counter
-we address directly: word ``i`` of the stream lives at counter block ``i // 4``,
-lane ``i % 4``.
+results.  The underlying bit generator is PCG64DXSM, whose 128-bit LCG state
+jumps ahead in O(log i) steps with ``advance`` (Brown's arbitrary-stride
+method): word ``i`` of the stream is the first word drawn after
+``advance(i)`` from the stream's initial state.
 """
 
 from __future__ import annotations
@@ -46,15 +47,16 @@ class RandomStream:
     """An addressable, reproducible stream of variates.
 
     Identical ``(seed, stream_id)`` reproduce identical sequences; distinct
-    ``stream_id`` values give statistically independent sequences (they key
-    independent Philox states).
+    ``stream_id`` values give statistically independent sequences (they set
+    independent PCG64DXSM states and increments).
     """
 
     seed: int
     stream_id: int = 0
-    # 128-bit Philox key derived from (seed, stream_id) once per stream;
-    # blake2 keeps the mapping uniform even for small consecutive seeds.
-    _key: int = field(init=False, repr=False, compare=False)
+    # PCG64DXSM state dict, with the 128-bit state and the odd 128-bit
+    # increment derived from (seed, stream_id) once per stream; blake2 keeps
+    # the mapping uniform even for small consecutive seeds.
+    _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
@@ -66,9 +68,13 @@ class RandomStream:
         raw = hashlib.blake2b(
             int(self.seed).to_bytes(8, "little")
             + int(self.stream_id).to_bytes(8, "little"),
-            digest_size=16,
+            digest_size=32,
         ).digest()
-        object.__setattr__(self, "_key", int.from_bytes(raw, "little"))
+        state, inc = (int.from_bytes(raw[i:i + 16], "little") for i in (0, 16))
+        object.__setattr__(self, "_state", {
+            "bit_generator": "PCG64DXSM",
+            "state": {"state": state, "inc": inc | 1},
+            "has_uint32": 0, "uinteger": 0})
 
     def child(self, *tags) -> "RandomStream":
         """Derive an independent sub-stream labelled by ``tags``."""
@@ -83,10 +89,11 @@ class RandomStream:
             raise ParameterDomainError("count and start must be non-negative")
         if count == 0:
             return np.empty(0, dtype=np.float64)
-        bitgen = np.random.Philox(key=self._key, counter=start // 4)
-        skip = start % 4
-        if skip:
-            bitgen.random_raw(skip)
+        # Seeded with 0 only to skip drawing OS entropy; the state is replaced.
+        bitgen = np.random.PCG64DXSM(0)
+        bitgen.state = self._state
+        bitgen.advance(start)
+        # One 64-bit word per double, so index i is word i.
         return np.random.Generator(bitgen).random(count, dtype=np.float64)
 
     def exponentials(self, count: int, start: int = 0) -> np.ndarray:

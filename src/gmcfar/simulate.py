@@ -130,8 +130,9 @@ class CfarGridReport:
                              for v in row.values()])
         return out.getvalue()
 
-    def to_json(self) -> str:
-        doc = {
+    def _to_dict(self) -> dict:
+        """The JSON object ``to_json`` writes."""
+        return {
             "kind": self.kind.value,
             "n_cut": self.n_cut,
             "m_ref": self.m_ref,
@@ -146,7 +147,9 @@ class CfarGridReport:
                 "passed": self.passed,
             },
         }
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self._to_dict(), indent=2)
 
 
 def cfar_grid_check(spec: SweepSpec) -> CfarGridReport:

@@ -1,4 +1,4 @@
-"""Tests for the counter-based random stream."""
+"""Tests for the addressable random stream."""
 
 import hashlib
 
@@ -26,18 +26,23 @@ def test_key_derived_once_and_draws_unchanged(monkeypatch):
     stream = RandomStream(seed=21, stream_id=5)
     draws = {start: stream.uniforms(10, start=start) for start in (0, 3, 10)}
     stream.exponentials(5)
-    assert calls == [16]
+    assert calls == [32]
     assert stream == RandomStream(21, 5)
     assert hash(stream) == hash(RandomStream(21, 5))
     assert repr(stream) == "RandomStream(seed=21, stream_id=5)"
-    # The draws of a Philox generator keyed by blake2b(seed, stream_id) and
-    # set to the start's counter block and lane, as before the cache.
-    key = int.from_bytes(blake2b((21).to_bytes(8, "little")
-                                 + (5).to_bytes(8, "little"),
-                                 digest_size=16).digest(), "little")
+    # The draws of a PCG64DXSM generator set, through numpy's documented
+    # state dict, to the 128-bit state and odd increment in
+    # blake2b(seed, stream_id), and advanced to the start.
+    raw = blake2b((21).to_bytes(8, "little") + (5).to_bytes(8, "little"),
+                  digest_size=32).digest()
+    state = {"bit_generator": "PCG64DXSM",
+             "state": {"state": int.from_bytes(raw[:16], "little"),
+                       "inc": int.from_bytes(raw[16:], "little") | 1},
+             "has_uint32": 0, "uinteger": 0}
     for start, got in draws.items():
-        bitgen = np.random.Philox(key=key, counter=start // 4)
-        bitgen.random_raw(start % 4)
+        bitgen = np.random.PCG64DXSM()
+        bitgen.state = state
+        bitgen.advance(start)
         assert np.array_equal(got, np.random.Generator(bitgen).random(10))
 
 
@@ -57,6 +62,10 @@ def test_slice_addressing_matches_bulk():
         count = min(8, 64 - start)
         piece = stream.uniforms(count, start=start)
         assert np.array_equal(piece, bulk[start:start + count]), start
+    # Far starts, beyond 32 and 64 bits, against a bulk draw from nearby.
+    for start in (2**32 + 3, 2**64 + 5):
+        near = stream.uniforms(64, start=start - 17)
+        assert np.array_equal(stream.uniforms(8, start=start), near[17:25])
 
 
 def test_exponentials_match_uniform_transform():
@@ -91,6 +100,17 @@ def test_child_streams_deterministic_and_distinct():
     assert a != b
     assert a.seed == base.seed
     assert not np.array_equal(a.uniforms(16), b.uniforms(16))
+
+
+def test_child_streams_uncorrelated():
+    """Sibling streams (``cut``/``ref`` children, stream ids 0-7) show no
+    pairwise sample correlation beyond 5/sqrt(n)."""
+    n = 100_000
+    ids = [RandomStream(seed=4, stream_id=i) for i in range(8)]
+    streams = ids + [s.child(tag) for s in ids for tag in ("cut", "ref")]
+    corr = np.corrcoef(np.stack([s.uniforms(n) for s in streams]))
+    off_diagonal = corr[~np.eye(len(streams), dtype=bool)]
+    assert np.abs(off_diagonal).max() < 5.0 / np.sqrt(n)
 
 
 def test_child_tags_accept_mixed_types():

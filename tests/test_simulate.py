@@ -165,6 +165,10 @@ class TestCfarGridCheck:
         assert doc["chi_square"]["passed"] is True
         assert doc["points"][0]["alpha"] == 2.0
 
+    def test_dict_is_json_document(self, cfar_report):
+        # verify embeds _to_dict(), so it must be the document to_json writes.
+        assert cfar_report._to_dict() == json.loads(cfar_report.to_json())
+
     def test_deterministic_bytes(self):
         spec = SweepSpec(DetectorKind.GM_PARTIAL_MULTI, 1, 4, 1.0,
                          CFAR_GRID[:2], trials=5_000, seed=3)
