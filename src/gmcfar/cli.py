@@ -299,6 +299,8 @@ def _sweep_taus(args) -> list[float]:
     step = args.step
     if not (step and step > 0.0):
         raise ParameterDomainError("--step must be positive")
+    if step == float("inf"):
+        raise ParameterDomainError("--step must be finite")
     if not 0.0 <= lo <= hi:
         raise ParameterDomainError("--tau-range needs 0 <= LO <= HI")
     top = hi + 1e-12 * max(1.0, abs(hi))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, QuantileOverflowError
+from .pfa import _is_real
 from .rng import RandomStream
 
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
@@ -31,8 +32,7 @@ class ParetoParams:
     def __post_init__(self):
         for name in ("shape", "scale"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float, np.floating, np.integer))
-                    and math.isfinite(v) and v > 0):
+            if not (_is_real(v) and v > 0):
                 raise ParameterDomainError(
                     f"Pareto {name} must be positive and finite, got {v!r}"
                 )

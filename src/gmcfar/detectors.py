@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterDomainError
-from .pfa import _check_tau
+from .pfa import _check_tau, _is_real
 
 # Batch rows narrower than these reduce column by column, faster than
 # numpy's per-row loops.  numpy adds a row of under 8 cells in order, as a
@@ -101,8 +101,7 @@ class Window:
 
 
 def _check_scale(scale: float) -> float:
-    if not (isinstance(scale, (int, float, np.floating, np.integer))
-            and math.isfinite(scale) and scale > 0.0):
+    if not (_is_real(scale) and scale > 0.0):
         raise ParameterDomainError(f"scale must be positive and finite, got {scale!r}")
     return float(scale)
 

@@ -100,24 +100,22 @@ class ExcessShape(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class EstimateWithCI:
-    """Monte Carlo probability estimate with a 95% Wilson interval."""
+    """Monte Carlo probability estimate with a 95% Wilson interval, both
+    derived from the success count."""
 
-    estimate: float
-    ci_low: float
-    ci_high: float
+    successes: int
     trials: int
     seed: int
-    successes: int
+    estimate: float = dataclasses.field(init=False)
+    ci_low: float = dataclasses.field(init=False)
+    ci_high: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterDomainError("trials must be >= 1")
-        if not 0 <= self.successes <= self.trials:
-            raise ParameterDomainError("successes must lie in [0, trials]")
-        if not (0.0 <= self.ci_low <= self.estimate <= self.ci_high <= 1.0):
-            raise ParameterDomainError(
-                "require 0 <= ci_low <= estimate <= ci_high <= 1"
-            )
+        low, high = wilson_interval(self.successes, self.trials)
+        derive = functools.partial(object.__setattr__, self)
+        derive("estimate", self.successes / self.trials)
+        derive("ci_low", low)
+        derive("ci_high", high)
 
     @property
     def sigma(self) -> float:
@@ -148,13 +146,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if successes == trials:
         high = 1.0
     return low, high
-
-
-def _make_estimate(successes: int, trials: int, seed: int) -> EstimateWithCI:
-    low, high = wilson_interval(successes, trials)
-    return EstimateWithCI(estimate=successes / trials, ci_low=low,
-                          ci_high=high, trials=trials, seed=seed,
-                          successes=successes)
 
 
 def _check_seed(seed) -> int:
@@ -255,7 +246,7 @@ def mc_dual_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     seed = _check_seed(seed)
     counts = _mc_dual_counts(n_cut, m_ref, [(kind.is_full, tau)], trials,
                              seed)
-    return _make_estimate(counts[0], trials, seed)
+    return EstimateWithCI(counts[0], trials, seed)
 
 
 def _check_tol(tol) -> float:
@@ -509,7 +500,7 @@ class AdjudicationReport:
                     "report point field 'quadrature_excess_m' cannot be "
                     f"{p['quadrature_excess_m']!r} for {detector.value}")
             points.append(GridPointRecord(
-                n, m, tau, _make_estimate(p["mc_successes"], trials, seed),
+                n, m, tau, EstimateWithCI(p["mc_successes"], trials, seed),
                 p["quadrature"], p["quadrature_excess_m"],
                 *_closed_forms(detector, n, m, tau)))
         report = cls(detector, seed, trials, tol, tuple(points))
@@ -623,7 +614,7 @@ def adjudicate_kinds(grids: Mapping[DetectorKind, Optional[Sequence]],
         rules = [(full, tau) for full, a, b, tau in points if (a, b) == (n, m)]
         counts = _mc_dual_counts(n, m, rules, trials, seed)
         for (full, tau), successes in zip(rules, counts):
-            mc[full, n, m, tau] = _make_estimate(successes, trials, seed)
+            mc[full, n, m, tau] = EstimateWithCI(successes, trials, seed)
 
     return {kind: AdjudicationReport(kind, seed, trials, tol, tuple(
         GridPointRecord(n, m, tau, mc[kind.is_full, n, m, tau],

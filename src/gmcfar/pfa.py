@@ -53,9 +53,14 @@ def _check_count(name: str, value) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """True for a finite int or float that is not a bool."""
+    return (isinstance(value, (int, float, np.floating, np.integer))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
 def _check_tau(tau) -> float:
-    if not (isinstance(tau, (int, float, np.floating, np.integer))
-            and math.isfinite(tau) and tau >= 0.0):
+    if not (_is_real(tau) and tau >= 0.0):
         raise ParameterDomainError(f"tau must be finite and >= 0, got {tau!r}")
     return float(tau)
 
@@ -74,7 +79,7 @@ def gamma_tail_poisson_sum(x: float, k: int) -> float:
     underflows, the terms are accumulated in the log domain instead.
     """
     k = _check_count("k", k)
-    if not (isinstance(x, (int, float, np.floating, np.integer)) and math.isfinite(x)):
+    if not _is_real(x):
         raise ParameterDomainError(f"x must be finite, got {x!r}")
     if x < 0.0:
         raise ParameterDomainError("x must be non-negative")

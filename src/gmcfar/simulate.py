@@ -10,10 +10,8 @@ with a Pearson chi-square.
 from __future__ import annotations
 
 import dataclasses
-import io
-import csv
-import json
-from typing import Optional, Sequence
+import functools
+from typing import Optional
 
 import numpy as np
 
@@ -21,8 +19,7 @@ from .clutter import ParetoParams
 from .detectors import (DetectorKind, margins_full_multi,
                         margins_partial_multi)
 from .errors import ParameterDomainError
-from .oracles import (EstimateWithCI, _check_seed, _check_window,
-                      _make_estimate, _mc_sum)
+from .oracles import EstimateWithCI, _check_seed, _check_window, _mc_sum
 from .pfa import _check_count, _check_tau
 from .rng import RandomStream, stable_u64
 
@@ -83,7 +80,7 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
                    else margins_partial_multi(cut, ref, tau, scale))
         return int(np.count_nonzero(margins > 0.0))
 
-    return _make_estimate(_mc_sum(base, n, m, trials, count), trials, seed)
+    return EstimateWithCI(_mc_sum(base, n, m, trials, count), trials, seed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,43 +99,58 @@ class CfarGridPoint:
 
 @dataclasses.dataclass(frozen=True)
 class CfarGridReport:
-    """Per-point estimates plus one omnibus homogeneity statistic."""
+    """Per-point estimates of one swept configuration, and the omnibus
+    homogeneity test derived from their counts.
 
-    kind: DetectorKind
-    n_cut: int
-    m_ref: int
-    tau: float
-    trials: int
-    seed: int
+    The test is a Pearson chi-square (no continuity correction) on the
+    2 x k table of rejection counts; it passes when p > 0.001.
+    """
+
+    spec: SweepSpec
     points: tuple[CfarGridPoint, ...]
-    chi2_statistic: float
-    dof: int
-    p_value: float
-    passed: bool
+    chi2_statistic: float = dataclasses.field(init=False)
+    dof: int = dataclasses.field(init=False)
+    p_value: float = dataclasses.field(init=False)
+    passed: bool = dataclasses.field(init=False)
 
     def __post_init__(self):
-        if not self.points:
-            raise ParameterDomainError("a CFAR grid report needs points")
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        rows = [point.row() for point in self.points]
-        writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row.values()])
-        return out.getvalue()
+        if len(self.points) < 2:
+            raise ParameterDomainError("a CFAR grid report needs >= 2 points")
+        observed = np.array(
+            [[p.result.successes for p in self.points],
+             [p.result.trials - p.result.successes for p in self.points]],
+            dtype=np.float64)
+        totals = observed.sum(axis=1, keepdims=True)
+        dof = len(self.points) - 1
+        if not totals.all():
+            # Degenerate table: identical all-or-nothing counts are trivially
+            # homogeneous; chi-square is undefined there.
+            statistic, p_value = 0.0, 1.0
+        else:
+            # Expected counts from the margins.  The operations follow
+            # scipy.stats.chi2_contingency, so the two agree to the bit.
+            expected = (totals * observed.sum(axis=0, keepdims=True)
+                        / observed.sum())
+            statistic = ((observed - expected) ** 2 / expected).sum()
+            # Imported here so that simulating alone never loads scipy.
+            from scipy.special import chdtrc
+            p_value = chdtrc(dof, statistic)
+        derive = functools.partial(object.__setattr__, self)
+        derive("chi2_statistic", float(statistic))
+        derive("dof", dof)
+        derive("p_value", float(p_value))
+        derive("passed", bool(p_value > HOMOGENEITY_ALPHA))
 
     def _to_dict(self) -> dict:
-        """The JSON object ``to_json`` writes."""
+        """The JSON object ``verify`` embeds for this report."""
+        spec = self.spec
         return {
-            "kind": self.kind.value,
-            "n_cut": self.n_cut,
-            "m_ref": self.m_ref,
-            "tau": self.tau,
-            "trials": self.trials,
-            "seed": self.seed,
+            "kind": spec.kind.value,
+            "n_cut": spec.n_cut,
+            "m_ref": spec.m_ref,
+            "tau": spec.tau,
+            "trials": spec.trials,
+            "seed": spec.seed,
             "points": [point.row() for point in self.points],
             "chi_square": {
                 "statistic": self.chi2_statistic,
@@ -148,51 +160,17 @@ class CfarGridReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self._to_dict(), indent=2)
-
 
 def cfar_grid_check(spec: SweepSpec) -> CfarGridReport:
     """Estimate the Pfa at every clutter grid point and test homogeneity.
 
     Each point runs on its own sub-stream derived from its grid index, so
-    points are independent and the whole report is reproducible.  The test
-    is a Pearson chi-square (no continuity correction) on the 2 x k table
-    of rejection counts; it passes when p > 0.001.
+    points are independent and the whole report is reproducible.  The
+    report needs at least two grid points.
     """
-    if len(spec.params_grid) < 2:
-        raise ParameterDomainError("cfar_grid_check needs >= 2 grid points")
-    points = []
-    for index, params in enumerate(spec.params_grid):
-        result = empirical_pfa(
+    return CfarGridReport(spec, tuple(
+        CfarGridPoint(params, empirical_pfa(
             spec.kind, spec.n_cut, spec.m_ref, spec.tau, params,
             spec.trials, spec.seed,
-            stream_id=stable_u64("cfar-point", index),
-        )
-        points.append(CfarGridPoint(params=params, result=result))
-
-    observed = np.array(
-        [[p.result.successes for p in points],
-         [p.result.trials - p.result.successes for p in points]],
-        dtype=np.float64)
-    totals = observed.sum(axis=1, keepdims=True)
-    dof = len(points) - 1
-    if not totals.all():
-        # Degenerate table: identical all-or-nothing counts are trivially
-        # homogeneous; chi-square is undefined there.
-        statistic, p_value = 0.0, 1.0
-    else:
-        # Expected counts from the margins.  The operations follow
-        # scipy.stats.chi2_contingency, so the two agree to the bit.
-        expected = (totals * observed.sum(axis=0, keepdims=True)
-                    / observed.sum())
-        statistic = ((observed - expected) ** 2 / expected).sum()
-        # Imported here so that simulating alone never loads scipy.
-        from scipy.special import chdtrc
-        p_value = chdtrc(dof, statistic)
-    return CfarGridReport(
-        kind=spec.kind, n_cut=spec.n_cut, m_ref=spec.m_ref, tau=spec.tau,
-        trials=spec.trials, seed=spec.seed, points=tuple(points),
-        chi2_statistic=float(statistic), dof=dof,
-        p_value=float(p_value), passed=bool(p_value > HOMOGENEITY_ALPHA),
-    )
+            stream_id=stable_u64("cfar-point", index)))
+        for index, params in enumerate(spec.params_grid)))

@@ -17,7 +17,7 @@ from .detectors import DetectorKind
 from .errors import (NumericalFailureError, ParameterDomainError,
                      UnreachableTargetError)
 from .oracles import AdjudicationReport, validated_pfa
-from .pfa import _check_count, pfa_gm_partial_single
+from .pfa import _check_count, _is_real, pfa_gm_partial_single
 
 # No oracle has yet checked a closed form below this target.
 _MIN_TARGET = 1e-12
@@ -54,8 +54,8 @@ class SolverConfig:
         object.__setattr__(self, "target_pfa", target)
         if self.abs_tol is None:
             object.__setattr__(self, "abs_tol", 1e-12 * target)
-        if not (isinstance(self.abs_tol, (int, float)) and self.abs_tol > 0.0):
-            raise ParameterDomainError("abs_tol must be positive")
+        if not (_is_real(self.abs_tol) and self.abs_tol > 0.0):
+            raise ParameterDomainError("abs_tol must be positive and finite")
         object.__setattr__(self, "abs_tol", float(self.abs_tol))
         _check_count("max_iterations", self.max_iterations)
 

@@ -260,6 +260,16 @@ class TestThresholdCommand:
                              "--n", "8", "--pfa", "1.5")
         assert code == 2
 
+    def test_infinite_abs_tol_exits_two(self, capsys, no_adjudication):
+        # An infinite tolerance would accept the first bracket end.
+        code, out, err = run_cli(capsys, "threshold", "--kind",
+                                 "partial-multi", "--n", "2", "--m", "4",
+                                 "--pfa", "1e-4", "--trials", "1000",
+                                 "--abs-tol", "inf")
+        assert code == 2
+        assert out == ""
+        assert "abs_tol" in err
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--kind", "partial-multi", "--n", "2", "--m", "4",
@@ -355,6 +365,7 @@ class TestSweepCommand:
         ("--pfa-range", "1e-2:1e-4:1"),
         ("--tau-range", "nan:1", "--step", "0.5"),
         ("--tau-range=-1:1", "--step", "0.5"),
+        ("--tau-range", "0:1", "--step", "inf"),
     ])
     def test_bad_range_exits_before_adjudication(self, capsys, range_args,
                                                  no_adjudication):

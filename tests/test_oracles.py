@@ -123,14 +123,26 @@ class TestWilsonInterval:
 
 
 class TestEstimateWithCI:
+    @pytest.mark.parametrize("successes, trials", [(0, 10), (50, 100),
+                                                   (7, 10 ** 6), (10, 10)])
+    def test_derived_from_counts(self, successes, trials):
+        est = EstimateWithCI(successes, trials, seed=3)
+        assert est.estimate == successes / trials
+        assert (est.ci_low, est.ci_high) == wilson_interval(successes, trials)
+
+    @pytest.mark.parametrize("successes, trials", [(11, 10), (-1, 10),
+                                                   (0, 0)])
+    def test_bad_counts(self, successes, trials):
+        with pytest.raises(ParameterDomainError):
+            EstimateWithCI(successes, trials, seed=0)
+
     def test_sigma_from_interval_width(self):
-        est = EstimateWithCI(estimate=0.5, ci_low=0.4, ci_high=0.6,
-                             trials=100, seed=0, successes=50)
-        assert est.sigma == pytest.approx(0.1 / Z95, rel=1e-14)
+        est = EstimateWithCI(50, 100, seed=0)
+        assert est.sigma == pytest.approx((est.ci_high - est.ci_low) / (2 * Z95),
+                                          rel=1e-14)
 
     def test_frozen(self):
-        est = EstimateWithCI(estimate=0.5, ci_low=0.4, ci_high=0.6,
-                             trials=100, seed=0, successes=50)
+        est = EstimateWithCI(50, 100, seed=0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             est.estimate = 0.7
 

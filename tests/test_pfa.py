@@ -7,8 +7,9 @@ import mpmath
 import pytest
 from scipy.special import gammaincc
 
-from gmcfar import (ParameterDomainError, PfaFormulaVariant,
-                    UnsupportedConfigurationError, gamma_tail_poisson_sum,
+from gmcfar import (ParameterDomainError, ParetoParams, PfaFormulaVariant,
+                    UnsupportedConfigurationError, Window,
+                    gamma_tail_poisson_sum, gm_partial_single,
                     pfa_gm_full_multi, pfa_gm_full_single,
                     pfa_gm_partial_multi, pfa_gm_partial_single)
 
@@ -17,6 +18,18 @@ CANDIDATE = PfaFormulaVariant.CANDIDATE
 
 TAUS = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 50.0)
 MS = (2, 4, 8, 16, 32, 100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pfa_gm_partial_multi(2, 4, True),
+    lambda: gm_partial_single(Window(cut=[2.0], reference=[3.0]), 1.0, True),
+    lambda: ParetoParams(True, True),
+    lambda: gamma_tail_poisson_sum(True, 3),
+], ids=["tau", "scale", "pareto", "gamma-tail-x"])
+def test_bool_is_not_a_number(call):
+    # As for counts and seeds: True would otherwise pass as 1.
+    with pytest.raises(ParameterDomainError):
+        call()
 
 
 class TestGammaTail:

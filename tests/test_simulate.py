@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from gmcfar import (DetectorKind, ParameterDomainError, ParetoParams,
-                    SweepSpec, cfar_grid_check, empirical_pfa,
+from gmcfar import (DetectorKind, EstimateWithCI, ParameterDomainError,
+                    ParetoParams, SweepSpec, cfar_grid_check, empirical_pfa,
                     pfa_gm_partial_single, quadrature_pfa_full_multi)
 
 PARAMS = ParetoParams(shape=5.0, scale=1.0)
@@ -152,27 +152,29 @@ class TestCfarGridCheck:
         assert cfar_report.p_value == p_value
         assert cfar_report.dof == dof
 
-    def test_csv_shape(self, cfar_report):
-        text = cfar_report.to_csv()
-        lines = text.split("\r\n")
-        assert lines[0] == "alpha,beta,trials,rejections,estimate,ci_low,ci_high"
-        assert len(lines) == 1 + len(CFAR_GRID) + 1  # header + rows + final CRLF
+    def test_statistic_derived_from_counts(self, cfar_report):
+        first = cfar_report.points[0]
+        result = EstimateWithCI(first.result.successes + 50,
+                                first.result.trials, first.result.seed)
+        edited = dataclasses.replace(cfar_report, points=(
+            dataclasses.replace(first, result=result),
+            *cfar_report.points[1:]))
+        assert edited.chi2_statistic != cfar_report.chi2_statistic
+        assert edited.p_value != cfar_report.p_value
 
     def test_json_shape(self, cfar_report):
-        doc = json.loads(cfar_report.to_json())
+        doc = cfar_report._to_dict()
         assert doc["kind"] == DetectorKind.GM_FULL_MULTI.value
+        assert doc["trials"] == cfar_report.spec.trials
         assert len(doc["points"]) == len(CFAR_GRID)
         assert doc["chi_square"]["passed"] is True
         assert doc["points"][0]["alpha"] == 2.0
 
-    def test_dict_is_json_document(self, cfar_report):
-        # verify embeds _to_dict(), so it must be the document to_json writes.
-        assert cfar_report._to_dict() == json.loads(cfar_report.to_json())
-
     def test_deterministic_bytes(self):
         spec = SweepSpec(DetectorKind.GM_PARTIAL_MULTI, 1, 4, 1.0,
                          CFAR_GRID[:2], trials=5_000, seed=3)
-        assert cfar_grid_check(spec).to_json() == cfar_grid_check(spec).to_json()
+        assert (json.dumps(cfar_grid_check(spec)._to_dict())
+                == json.dumps(cfar_grid_check(spec)._to_dict()))
 
     def test_degenerate_all_reject_table(self):
         spec = SweepSpec(DetectorKind.GM_PARTIAL_MULTI, 1, 4, 0.0,
@@ -189,6 +191,7 @@ class TestCfarGridCheck:
             cfar_grid_check(spec)
 
     def test_report_needs_points(self, cfar_report):
-        # An empty report would have no CSV header row to write.
-        with pytest.raises(ParameterDomainError):
-            dataclasses.replace(cfar_report, points=())
+        # The chi-square test needs dof >= 1, so two points at least.
+        for points in ((), cfar_report.points[:1]):
+            with pytest.raises(ParameterDomainError):
+                dataclasses.replace(cfar_report, points=points)

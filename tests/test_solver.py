@@ -47,8 +47,9 @@ class TestSolverConfig:
                 SolverConfig(bad)
 
     def test_control_validation(self):
-        with pytest.raises(ParameterDomainError):
-            SolverConfig(0.1, abs_tol=0.0)
+        for bad in (0.0, math.inf, math.nan, True):
+            with pytest.raises(ParameterDomainError):
+                SolverConfig(0.1, abs_tol=bad)
         with pytest.raises(ParameterDomainError):
             SolverConfig(0.1, max_iterations=0)
 

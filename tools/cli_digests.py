@@ -115,6 +115,8 @@ def invocations() -> list[list[str]]:
          "--step", "0.5"],
         ["sweep", *window("full-multi", "4", "16"), "--tau-range", "0:1",
          "--step", "0"],
+        ["sweep", *window("partial-single", "8", None), "--tau-range", "0:1",
+         "--step", "inf"],
         ["sweep", *window("full-multi", "4", "16"), "--tau-range", "0:1",
          "--step", "1e-6"],
         ["sweep", *window("partial-single", "4", None), "--tau-range",
@@ -130,6 +132,8 @@ def invocations() -> list[list[str]]:
          "1e-2:1e-4", "--step", "1"],
         ["threshold", *window("partial-multi", "2", "4"), "--pfa", "2",
          "--report", REPORT],
+        ["threshold", *window("partial-multi", "2", "4"), "--pfa", "1e-4",
+         "--trials", "1000", "--abs-tol", "inf"],
         ["simulate", *window("full-multi", "2", "4"), "--tau", "1",
          "--alpha", "3", "--beta", "2", "--trials", "0"],
         ["sample", "--alpha", "3", "--beta", "2", "--count", "0"],
