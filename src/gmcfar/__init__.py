@@ -11,7 +11,9 @@ Library layout:
 * :mod:`gmcfar.simulate` -- end-to-end Pareto-domain simulation and the
   CFAR homogeneity check;
 * :mod:`gmcfar.solver` -- threshold-multiplier inversion;
-* :mod:`gmcfar.cli` -- the ``gmcfar`` command-line tool.
+* :mod:`gmcfar.cli` -- the ``gmcfar`` command-line tool;
+* :mod:`gmcfar.errors` -- the exception types and the argument checks every
+  layer shares.
 """
 
 from .clutter import (ParetoParams, dual_to_pareto, pareto_cdf,

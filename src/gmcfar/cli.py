@@ -23,7 +23,8 @@ from typing import Callable, Optional, Sequence
 from .clutter import ParetoParams, sample_pareto
 from .detectors import DetectorKind
 from .errors import (GmCfarError, InconsistentReportError,
-                     ParameterDomainError, UnsupportedConfigurationError)
+                     ParameterDomainError, UnsupportedConfigurationError,
+                     _check_int)
 from .oracles import (DEFAULT_M_REF, DEFAULT_N_CUT, DEFAULT_TAUS,
                       AdjudicationReport, PfaFormulaVariant, _closed_form,
                       _quadrature, _variants, adjudicate, adjudicate_kinds,
@@ -359,8 +360,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.count < 1:
-        raise ParameterDomainError("--count must be >= 1")
+    _check_int("--count", args.count)
     params = ParetoParams(shape=args.alpha, scale=args.beta)
     stream = RandomStream(args.seed, 0).child("sample")
     values = sample_pareto(params, stream, args.count)
@@ -495,10 +495,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.threads < 1:
-        sys.stderr.write("gmcfar: --threads must be >= 1\n")
-        return 2
     try:
+        _check_int("--threads", args.threads)
         return args.func(args)
     except (ParameterDomainError, UnsupportedConfigurationError) as exc:
         sys.stderr.write(f"gmcfar: {exc}\n")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, QuantileOverflowError
-from .pfa import _is_real
+from .errors import (ParameterDomainError, QuantileOverflowError,
+                     _check_positive)
 from .rng import RandomStream
 
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
@@ -31,11 +31,7 @@ class ParetoParams:
 
     def __post_init__(self):
         for name in ("shape", "scale"):
-            v = getattr(self, name)
-            if not (_is_real(v) and v > 0):
-                raise ParameterDomainError(
-                    f"Pareto {name} must be positive and finite, got {v!r}"
-                )
+            _check_positive(f"Pareto {name}", getattr(self, name))
 
 
 def _as_float_array(x, name: str):

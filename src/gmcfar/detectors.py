@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterDomainError
-from .pfa import _check_tau, _is_real
+from .errors import (ParameterDomainError, _check_instance, _check_int,
+                     _check_positive, _check_tau)
 
 # Batch rows narrower than these reduce column by column, faster than
 # numpy's per-row loops.  numpy adds a row of under 8 cells in order, as a
@@ -83,11 +83,7 @@ class Window:
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
             if arr.ndim != 1 or arr.size < 1:
                 raise ParameterDomainError(f"{name} must be a non-empty 1-D sequence")
-            if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-                raise ParameterDomainError(
-                    f"{name} values must be strictly positive and finite"
-                )
-            arr = arr.copy()
+            arr = _check_batch(arr[None, :], name)[0].copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -100,10 +96,14 @@ class Window:
         return self.reference.size
 
 
-def _check_scale(scale: float) -> float:
-    if not (_is_real(scale) and scale > 0.0):
-        raise ParameterDomainError(f"scale must be positive and finite, got {scale!r}")
-    return float(scale)
+def _check_window(kind: DetectorKind, n_cut, m_ref) -> tuple[int, int]:
+    """Validated (n_cut, m_ref) of ``kind``; the single-pulse kinds have one
+    cut cell."""
+    _check_instance("kind", kind, DetectorKind)
+    n, m = _check_int("n_cut", n_cut), _check_int("m_ref", m_ref)
+    if kind.is_single and n != 1:
+        raise ParameterDomainError(f"{kind.value} requires n_cut == 1")
+    return n, m
 
 
 def _check_batch(arr: np.ndarray, name: str) -> np.ndarray:
@@ -115,11 +115,11 @@ def _check_batch(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _row_reduce(op: np.ufunc, cells: np.ndarray, columns: int,
+def _row_reduce(op: np.ufunc, cells: np.ndarray,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``op.reduce(cells, axis=1, out=out)`` exactly; by columns below
-    ``columns``."""
-    if cells.shape[1] >= columns:
+    """``op.reduce(cells, axis=1, out=out)`` exactly, for ``np.add`` or
+    ``np.minimum``; by columns below that ufunc's column threshold."""
+    if cells.shape[1] >= (_SUM_COLUMNS if op is np.add else _MIN_COLUMNS):
         return op.reduce(cells, axis=1, out=out)
     if out is None:
         out = np.empty(cells.shape[0])
@@ -137,11 +137,11 @@ def margins_partial_multi(cut, reference, tau, scale) -> np.ndarray:
     """
     cut = _check_batch(cut, "cut")
     reference = _check_batch(reference, "reference")
-    tau, scale = _check_tau(tau), _check_scale(scale)
+    tau, scale = _check_tau(tau), _check_positive("scale", scale)
     n, m = cut.shape[1], reference.shape[1]
     rhs = (n - m * tau) * math.log(scale) + tau * _row_reduce(
-        np.add, np.log(reference), _SUM_COLUMNS)
-    return _row_reduce(np.add, np.log(cut), _SUM_COLUMNS) - rhs
+        np.add, np.log(reference))
+    return _row_reduce(np.add, np.log(cut)) - rhs
 
 
 def margins_full_multi(cut, reference, tau) -> np.ndarray:
@@ -151,9 +151,9 @@ def margins_full_multi(cut, reference, tau) -> np.ndarray:
     tau = _check_tau(tau)
     n, m = cut.shape[1], reference.shape[1]
     log_ref = np.log(reference)
-    rhs = ((n - m * tau) * _row_reduce(np.minimum, log_ref, _MIN_COLUMNS)
-           + tau * _row_reduce(np.add, log_ref, _SUM_COLUMNS))
-    return _row_reduce(np.add, np.log(cut), _SUM_COLUMNS) - rhs
+    rhs = ((n - m * tau) * _row_reduce(np.minimum, log_ref)
+           + tau * _row_reduce(np.add, log_ref))
+    return _row_reduce(np.add, np.log(cut)) - rhs
 
 
 def _single_cut(window: Window) -> Window:

@@ -34,10 +34,11 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import pfa as _pfa
-from .detectors import DetectorKind, _MIN_COLUMNS, _SUM_COLUMNS, _row_reduce
-from .errors import (InconsistentReportError, NumericalFailureError,
-                     ParameterDomainError, UnsupportedConfigurationError)
-from .pfa import PfaFormulaVariant, _check_count, _check_tau
+from .detectors import DetectorKind, _check_window, _row_reduce
+from .errors import (_U64, InconsistentReportError, NumericalFailureError,
+                     ParameterDomainError, UnsupportedConfigurationError,
+                     _check_instance, _check_int, _check_tau, _is_real)
+from .pfa import PfaFormulaVariant
 from .rng import RandomStream
 
 # 95% two-sided normal quantile used by the Wilson interval.
@@ -125,10 +126,8 @@ class EstimateWithCI:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ParameterDomainError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise ParameterDomainError("successes must lie in [0, trials]")
+    trials = _check_int("trials", trials)
+    successes = _check_int("successes", successes, 0, trials)
     p_hat = successes / trials
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
@@ -146,23 +145,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if successes == trials:
         high = 1.0
     return low, high
-
-
-def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ParameterDomainError("seed must be an integer")
-    if not 0 <= seed < 1 << 64:
-        raise ParameterDomainError("seed must fit in 64 unsigned bits")
-    return int(seed)
-
-
-def _check_window(kind: DetectorKind, n_cut, m_ref) -> tuple[int, int]:
-    """Validated (n_cut, m_ref); the single-pulse kinds have one cut cell."""
-    n = _check_count("n_cut", n_cut)
-    m = _check_count("m_ref", m_ref)
-    if kind.is_single and n != 1:
-        raise ParameterDomainError(f"{kind.value} requires n_cut == 1")
-    return n, m
 
 
 def _batch_rows(n: int, m: int, trials: int) -> int:
@@ -206,7 +188,6 @@ def _mc_dual_counts(n_cut: int, m_ref: int,
     tau-invariance fixtures hold exactly.  The row statistics, right-hand
     sides and masks live in buffers allocated once a call."""
     base = RandomStream(seed, 0).child("dual", n_cut, m_ref)
-    rules = [(full, _check_tau(tau)) for full, tau in rules]
     any_full = any(full for full, _ in rules)
     rows = _batch_rows(n_cut, m_ref, trials)
     stats, hits = np.empty((5, rows)), np.empty(rows, dtype=bool)
@@ -215,10 +196,10 @@ def _mc_dual_counts(n_cut: int, m_ref: int,
         size = len(xs)
         sum_x, sum_y, y_min, rhs, anchor = stats[:, :size]
         mask = hits[:size]
-        _row_reduce(np.add, xs, _SUM_COLUMNS, sum_x)
-        _row_reduce(np.add, ys, _SUM_COLUMNS, sum_y)
+        _row_reduce(np.add, xs, sum_x)
+        _row_reduce(np.add, ys, sum_y)
         if any_full:
-            _row_reduce(np.minimum, ys, _MIN_COLUMNS, y_min)
+            _row_reduce(np.minimum, ys, y_min)
         counts = []
         for full, tau in rules:
             np.multiply(sum_y, tau, out=rhs)
@@ -242,15 +223,16 @@ def mc_dual_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     its multi-pulse kind at N = 1, success for success.
     """
     n_cut, m_ref = _check_window(kind, n_cut, m_ref)
-    trials = _check_count("trials", trials)
-    seed = _check_seed(seed)
+    tau = _check_tau(tau)
+    trials = _check_int("trials", trials)
+    seed = _check_int("seed", seed, 0, _U64)
     counts = _mc_dual_counts(n_cut, m_ref, [(kind.is_full, tau)], trials,
                              seed)
     return EstimateWithCI(counts[0], trials, seed)
 
 
 def _check_tol(tol) -> float:
-    if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-6):
+    if not (_is_real(tol) and 0.0 < tol <= 1e-6):
         raise ParameterDomainError(f"tol must lie in (0, 1e-6], got {tol!r}")
     return float(tol)
 
@@ -334,8 +316,8 @@ def quadrature_pfa_partial_multi(n_cut: int, m_ref: int, tau,
     """P(W1 > tau W2), W1 ~ gamma(n_cut, 1), W2 ~ gamma(m_ref, 1), by
     integrating the scipy incomplete gamma against the gamma density of W2
     with a Gauss-Laguerre rule checked at two node counts."""
-    n = _check_count("n_cut", n_cut)
-    m = _check_count("m_ref", m_ref)
+    n = _check_int("n_cut", n_cut)
+    m = _check_int("m_ref", m_ref)
     tau = _check_tau(tau)
     tol = _check_tol(tol)
     return _gamma_mixture_tail(n, [(m, tau)], tol,
@@ -352,12 +334,11 @@ def quadrature_pfa_full_multi(n_cut: int, m_ref: int, tau, tol: float = 1e-10,
     probability given both is the gamma tail Q(n_cut, n_cut*T + tau*W2).
     ``excess_shape=M_MINUS_ONE`` with m_ref=1 uses the degenerate W2 = 0.
     """
-    n = _check_count("n_cut", n_cut)
-    m = _check_count("m_ref", m_ref)
+    n = _check_int("n_cut", n_cut)
+    m = _check_int("m_ref", m_ref)
     tau = _check_tau(tau)
     tol = _check_tol(tol)
-    if not isinstance(excess_shape, ExcessShape):
-        raise ParameterDomainError("excess_shape must be an ExcessShape")
+    _check_instance("excess_shape", excess_shape, ExcessShape)
     k = m - 1 if excess_shape is ExcessShape.M_MINUS_ONE else m
     # n*T is (n/m) times a unit exponential.
     return _gamma_mixture_tail(n, [(1, n / m), (k, tau)], tol,
@@ -486,7 +467,7 @@ class AdjudicationReport:
                 PfaFormulaVariant(doc["validated_variant"])
         except ValueError as exc:
             raise ParameterDomainError(f"report: {exc}") from None
-        seed, trials = _check_seed(doc["seed"]), doc["trials"]
+        seed, trials = _check_int("seed", doc["seed"], 0, _U64), doc["trials"]
         tol = _check_tol(doc["tol"])
         if not doc["points"]:
             raise ParameterDomainError("report points must be non-empty")
@@ -544,6 +525,7 @@ def default_grid(kind: DetectorKind, n_cut: Sequence[int] = DEFAULT_N_CUT,
     """Adjudication grid over the given values: single-pulse kinds sweep the
     reference length (ignoring ``n_cut``), multi-pulse kinds sweep both
     window sizes."""
+    _check_instance("kind", kind, DetectorKind)
     n_values = (1,) if kind.is_single else n_cut
     return tuple((n, m, t) for n in n_values for m in m_ref for t in taus)
 
@@ -601,8 +583,8 @@ def adjudicate_kinds(grids: Mapping[DetectorKind, Optional[Sequence]],
              for kind, grid in grids.items()}
     if not all(grids.values()):
         raise ParameterDomainError("grid must be non-empty")
-    trials = _check_count("trials", trials)
-    seed = _check_seed(seed)
+    trials = _check_int("trials", trials)
+    seed = _check_int("seed", seed, 0, _U64)
     tol = _check_tol(tol)
 
     # One draw per distinct window, counted under each rule tested there.
@@ -640,6 +622,7 @@ def validated_pfa(kind: DetectorKind, report: AdjudicationReport,
     names one, otherwise the reference quadrature at ``tol``."""
     n, m = _check_window(kind, n_cut, m_ref)
     tau = _check_tau(tau)
+    _check_instance("report", report, AdjudicationReport)
     if report.detector is not kind:
         raise ParameterDomainError(
             f"report covers {report.detector.value}, not {kind.value}"

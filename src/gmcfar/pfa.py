@@ -27,9 +27,8 @@ from __future__ import annotations
 import enum
 import math
 
-import numpy as np
-
-from .errors import ParameterDomainError, UnsupportedConfigurationError
+from .errors import (ParameterDomainError, UnsupportedConfigurationError,
+                     _check_int, _check_tau)
 
 # Scaled terms stay below _RESCALE; a leading term below 1/_RESCALE starts
 # the recurrence from 1 with its log carried as an offset.
@@ -45,26 +44,6 @@ class PfaFormulaVariant(enum.Enum):
     CANDIDATE = "candidate"
 
 
-def _check_count(name: str, value) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ParameterDomainError(f"{name} must be >= 1, got {value}")
-    return int(value)
-
-
-def _is_real(value) -> bool:
-    """True for a finite int or float that is not a bool."""
-    return (isinstance(value, (int, float, np.floating, np.integer))
-            and not isinstance(value, bool) and math.isfinite(value))
-
-
-def _check_tau(tau) -> float:
-    if not (_is_real(tau) and tau >= 0.0):
-        raise ParameterDomainError(f"tau must be finite and >= 0, got {tau!r}")
-    return float(tau)
-
-
 def _check_variant(variant) -> None:
     if not isinstance(variant, PfaFormulaVariant):
         raise ParameterDomainError(
@@ -78,12 +57,8 @@ def gamma_tail_poisson_sum(x: float, k: int) -> float:
     Valid for integer shape k >= 1.  For x large enough that e**-x
     underflows, the terms are accumulated in the log domain instead.
     """
-    k = _check_count("k", k)
-    if not _is_real(x):
-        raise ParameterDomainError(f"x must be finite, got {x!r}")
-    if x < 0.0:
-        raise ParameterDomainError("x must be non-negative")
-    x = float(x)
+    k = _check_int("k", k)
+    x = _check_tau(x, "x")
     if x == 0.0:
         return 1.0
     if x < 700.0:
@@ -105,7 +80,7 @@ def gamma_tail_poisson_sum(x: float, k: int) -> float:
 def pfa_gm_partial_single(n_ref: int, tau: float) -> float:
     """False-alarm probability of the scale-weighted single-pulse rule:
     (1 + tau)**-n_ref."""
-    n_ref = _check_count("n_ref", n_ref)
+    n_ref = _check_int("n_ref", n_ref)
     tau = _check_tau(tau)
     return (1.0 + tau) ** (-n_ref)
 
@@ -117,7 +92,7 @@ def pfa_gm_full_single(n_ref: int, tau: float, variant: PfaFormulaVariant) -> fl
     re-derived ``(n/(n+1)) (1+tau)**-(n-1)``.  Pick via an adjudication
     report, not by taste.
     """
-    n_ref = _check_count("n_ref", n_ref)
+    n_ref = _check_int("n_ref", n_ref)
     tau = _check_tau(tau)
     _check_variant(variant)
     front = n_ref / (n_ref + 1.0)
@@ -165,8 +140,8 @@ def pfa_gm_partial_multi(n_cut: int, m_ref: int, tau: float) -> float:
 
     Equals P(W1 > tau W2) with W1 ~ gamma(N, 1) and W2 ~ gamma(M, 1).
     """
-    n = _check_count("n_cut", n_cut)
-    m = _check_count("m_ref", m_ref)
+    n = _check_int("n_cut", n_cut)
+    m = _check_int("m_ref", m_ref)
     tau = _check_tau(tau)
     return _negbin_sum(m, n, tau)
 
@@ -188,8 +163,8 @@ def pfa_gm_full_multi(n_cut: int, m_ref: int, tau: float,
     Closed forms require m_ref >= 2; the m_ref = 1 detector is tau-invariant
     and is served by the quadrature oracle.
     """
-    n = _check_count("n_cut", n_cut)
-    m = _check_count("m_ref", m_ref)
+    n = _check_int("n_cut", n_cut)
+    m = _check_int("m_ref", m_ref)
     tau = _check_tau(tau)
     _check_variant(variant)
     if m < 2:

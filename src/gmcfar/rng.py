@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterDomainError
-
-_U64 = 0xFFFF_FFFF_FFFF_FFFF
+from .errors import _U64, _check_int
 
 
 def stable_u64(*parts) -> int:
@@ -59,17 +57,11 @@ class RandomStream:
     _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _U64:
-                raise ParameterDomainError(
-                    f"{name} must be an unsigned 64-bit integer, got {v!r}"
-                )
-        raw = hashlib.blake2b(
-            int(self.seed).to_bytes(8, "little")
-            + int(self.stream_id).to_bytes(8, "little"),
-            digest_size=32,
-        ).digest()
+        seed = _check_int("seed", self.seed, 0, _U64)
+        stream_id = _check_int("stream_id", self.stream_id, 0, _U64)
+        raw = hashlib.blake2b(seed.to_bytes(8, "little")
+                              + stream_id.to_bytes(8, "little"),
+                              digest_size=32).digest()
         state, inc = (int.from_bytes(raw[i:i + 16], "little") for i in (0, 16))
         object.__setattr__(self, "_state", {
             "bit_generator": "PCG64DXSM",
@@ -85,8 +77,8 @@ class RandomStream:
 
         Slicing is exact: ``uniforms(n)[a:b]`` equals ``uniforms(b - a, start=a)``.
         """
-        if count < 0 or start < 0:
-            raise ParameterDomainError("count and start must be non-negative")
+        count = _check_int("count", count, 0)
+        start = _check_int("start", start, 0)
         if count == 0:
             return np.empty(0, dtype=np.float64)
         # Seeded with 0 only to skip drawing OS entropy; the state is replaced.

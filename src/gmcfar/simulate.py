@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .clutter import ParetoParams
-from .detectors import (DetectorKind, margins_full_multi,
+from .detectors import (DetectorKind, _check_window, margins_full_multi,
                         margins_partial_multi)
-from .errors import ParameterDomainError
-from .oracles import EstimateWithCI, _check_seed, _check_window, _mc_sum
-from .pfa import _check_count, _check_tau
+from .errors import (_U64, ParameterDomainError, _check_instance, _check_int,
+                     _check_positive, _check_tau)
+from .oracles import EstimateWithCI, _mc_sum
 from .rng import RandomStream, stable_u64
 
 # Pass threshold for the chi-square homogeneity p-value.
@@ -42,8 +42,8 @@ class SweepSpec:
     def __post_init__(self):
         _check_window(self.kind, self.n_cut, self.m_ref)
         _check_tau(self.tau)
-        _check_count("trials", self.trials)
-        _check_seed(self.seed)
+        _check_int("trials", self.trials)
+        _check_int("seed", self.seed, 0, _U64)
         object.__setattr__(self, "params_grid", tuple(self.params_grid))
         if not self.params_grid:
             raise ParameterDomainError("params_grid must be non-empty")
@@ -61,11 +61,11 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     """
     n, m = _check_window(kind, n_cut, m_ref)
     tau = _check_tau(tau)
-    trials = _check_count("trials", trials)
-    seed = _check_seed(seed)
-    scale = params.scale if detector_scale is None else float(detector_scale)
-    if not scale > 0.0:
-        raise ParameterDomainError("detector_scale must be positive")
+    _check_instance("params", params, ParetoParams)
+    trials = _check_int("trials", trials)
+    seed = _check_int("seed", seed, 0, _U64)
+    scale = (params.scale if detector_scale is None
+             else _check_positive("detector_scale", detector_scale))
 
     base = RandomStream(seed, stream_id).child("pareto", kind.value, n, m)
     inv_shape, log_scale = 1.0 / params.shape, np.log(params.scale)

@@ -13,11 +13,12 @@ import dataclasses
 import math
 from typing import Optional
 
-from .detectors import DetectorKind
+from .detectors import DetectorKind, _check_window
 from .errors import (NumericalFailureError, ParameterDomainError,
-                     UnreachableTargetError)
+                     UnreachableTargetError, _check_instance, _check_int,
+                     _check_positive, _is_real)
 from .oracles import AdjudicationReport, validated_pfa
-from .pfa import _check_count, _is_real, pfa_gm_partial_single
+from .pfa import pfa_gm_partial_single
 
 # No oracle has yet checked a closed form below this target.
 _MIN_TARGET = 1e-12
@@ -26,7 +27,7 @@ _MAX_BRACKET_GROWTH = 400
 
 
 def _check_target(target) -> float:
-    if not (isinstance(target, (int, float)) and 0.0 < target < 1.0):
+    if not (_is_real(target) and 0.0 < target < 1.0):
         raise ParameterDomainError(
             f"target Pfa must lie in (0, 1), got {target!r}"
         )
@@ -52,17 +53,15 @@ class SolverConfig:
     def __post_init__(self):
         target = _check_target(self.target_pfa)
         object.__setattr__(self, "target_pfa", target)
-        if self.abs_tol is None:
-            object.__setattr__(self, "abs_tol", 1e-12 * target)
-        if not (_is_real(self.abs_tol) and self.abs_tol > 0.0):
-            raise ParameterDomainError("abs_tol must be positive and finite")
-        object.__setattr__(self, "abs_tol", float(self.abs_tol))
-        _check_count("max_iterations", self.max_iterations)
+        abs_tol = (1e-12 * target if self.abs_tol is None
+                   else _check_positive("abs_tol", self.abs_tol))
+        object.__setattr__(self, "abs_tol", abs_tol)
+        _check_int("max_iterations", self.max_iterations)
 
 
 def solve_tau_partial_single(n_ref: int, target) -> float:
     """Closed-form threshold multiplier: target**(-1/n_ref) - 1."""
-    n_ref = _check_count("n_ref", n_ref)
+    n_ref = _check_int("n_ref", n_ref)
     target = _check_target(target)
     return target ** (-1.0 / n_ref) - 1.0
 
@@ -83,10 +82,8 @@ def solve_tau_numeric(kind: DetectorKind, n_cut: int, m_ref: int,
     as an unreachable-target error, as is any target above the tau = 0
     ceiling of the curve.
     """
-    n_cut = _check_count("n_cut", n_cut)
-    m_ref = _check_count("m_ref", m_ref)
-    if not isinstance(config, SolverConfig):
-        raise ParameterDomainError("config must be a SolverConfig")
+    n_cut, m_ref = _check_window(kind, n_cut, m_ref)
+    _check_instance("config", config, SolverConfig)
     target = config.target_pfa
     if kind.is_full and m_ref == 1:
         raise UnreachableTargetError(

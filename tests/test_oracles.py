@@ -399,10 +399,8 @@ class TestRowReductions:
         rng = np.random.default_rng(4)
         for width in [*range(1, 18), 31, 32, 33, 64]:
             cells = rng.exponential(size=(1001, width))
-            sums = detectors._row_reduce(np.add, cells,
-                                         detectors._SUM_COLUMNS)
-            mins = detectors._row_reduce(np.minimum, cells,
-                                         detectors._MIN_COLUMNS)
+            sums = detectors._row_reduce(np.add, cells)
+            mins = detectors._row_reduce(np.minimum, cells)
             assert np.array_equal(sums, cells.sum(axis=1)), width
             assert np.array_equal(mins, cells.min(axis=1)), width
 

@@ -15,10 +15,11 @@ JSON), ``--all-variants`` (also at M = 1), ``threshold``, both ``sweep``
 modes in both formats, a ``sweep`` at its 10,000-row cap and two just past
 it, ``simulate``, ``sample``, a reduced ``verify`` (its report file and
 stdout) and one whose ``--n-grid`` leaves out 1, so that the single-pulse
-kinds draw windows no multi-pulse kind shares, usage errors and
-``--help``.  A ``simulate`` at 8x64 and 4x32 and a
-``verify`` at M = 8 and 32 also reach numpy's own row reductions, which
-windows under 8 (sums) and 32 (minima) cells do not.
+kinds draw windows no multi-pulse kind shares, usage errors (among them
+out-of-range seeds and an infinite Pareto shape) and ``--help``.  A
+``simulate`` at 8x64 and 4x32 and a ``verify`` at M = 8 and 32 also reach
+numpy's own row reductions, which windows under 8 (sums) and 32 (minima)
+cells do not.
 """
 
 from __future__ import annotations
@@ -137,6 +138,15 @@ def invocations() -> list[list[str]]:
         ["simulate", *window("full-multi", "2", "4"), "--tau", "1",
          "--alpha", "3", "--beta", "2", "--trials", "0"],
         ["sample", "--alpha", "3", "--beta", "2", "--count", "0"],
+        # One seed check for every layer, so one message for each refusal.
+        ["sample", "--alpha", "3", "--beta", "2", "--count", "10", "--seed",
+         "-1"],
+        ["simulate", *window("full-multi", "2", "4"), "--tau", "1",
+         "--alpha", "3", "--beta", "2", "--trials", "1000", "--seed", "-1"],
+        ["verify", "--seed", "18446744073709551616", "--trials", "1000000",
+         "--cfar-trials", "20000", "--out", "{tmp}/big-seed.json"],
+        ["simulate", *window("full-multi", "2", "4"), "--tau", "1",
+         "--alpha", "inf", "--beta", "2", "--trials", "1000"],
         ["verify", "--n-grid", "1,x", "--out", "{tmp}/bad.json"],
         ["pfa", *window("partial-single", "4", None), "--tau", "1",
          "--threads", "0"],
