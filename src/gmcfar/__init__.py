@@ -24,8 +24,7 @@ from .detectors import (Decision, DetectorKind, Outcome, Window,
                         margins_partial_multi)
 from .errors import (GmCfarError, InconsistentReportError,
                      NumericalFailureError, ParameterDomainError,
-                     QuantileOverflowError, UnreachableTargetError,
-                     UnsupportedConfigurationError)
+                     QuantileOverflowError, UnreachableTargetError)
 from .oracles import (AdjudicationReport, EstimateWithCI, ExcessShape,
                       GridPointRecord, adjudicate, adjudicate_kinds,
                       default_grid, mc_dual_pfa, quadrature_pfa_full_multi,
@@ -62,7 +61,6 @@ __all__ = [
     "SolverConfig",
     "SweepSpec",
     "UnreachableTargetError",
-    "UnsupportedConfigurationError",
     "Window",
     "adjudicate",
     "adjudicate_kinds",

@@ -23,8 +23,7 @@ from typing import Callable, Optional, Sequence
 from .clutter import ParetoParams, sample_pareto
 from .detectors import DetectorKind
 from .errors import (GmCfarError, InconsistentReportError,
-                     ParameterDomainError, UnsupportedConfigurationError,
-                     _check_int)
+                     ParameterDomainError, _check_int)
 from .oracles import (DEFAULT_M_REF, DEFAULT_N_CUT, DEFAULT_TAUS,
                       AdjudicationReport, PfaFormulaVariant, _closed_form,
                       _quadrature, _variants, adjudicate, adjudicate_kinds,
@@ -143,12 +142,6 @@ def _cmd_pfa(args) -> int:
         else:
             value = _closed_form(kind, n_cut, m_ref, tau,
                                  PfaFormulaVariant(name))
-            # --all-variants lists a refused form as an empty cell.
-            if value is None and not args.all_variants:
-                raise UnsupportedConfigurationError(
-                    f"{kind.value} has no closed form at m_ref={m_ref}; "
-                    "use --variant quadrature"
-                )
         rows.append((name, value))
 
     _write(args, {"kind": kind.value, "n_cut": n_cut, "m_ref": m_ref,
@@ -195,8 +188,7 @@ def _parse_grid(text: str, caster, flag: str) -> tuple:
 
 def _reduction_checks(m_grid, tau_grid) -> dict:
     """Single-pulse reduction identities among the closed forms: each
-    single-pulse form equals its multi-pulse form at one cut cell, wherever
-    the multi-pulse form does not refuse."""
+    single-pulse form equals its multi-pulse form at one cut cell."""
     worst = 0.0
     for m in m_grid:
         for tau in tau_grid:
@@ -206,9 +198,8 @@ def _reduction_checks(m_grid, tau_grid) -> dict:
                                    DetectorKind.GM_FULL_MULTI)):
                 for variant in _variants(single):
                     got = _closed_form(multi, 1, m, tau, variant)
-                    if got is not None:
-                        want = _closed_form(single, 1, m, tau, variant)
-                        worst = max(worst, abs(got - want) / want)
+                    want = _closed_form(single, 1, m, tau, variant)
+                    worst = max(worst, abs(got - want) / want)
     return {"max_rel_error": worst, "rtol": _REDUCTION_RTOL,
             "passed": worst <= _REDUCTION_RTOL}
 
@@ -498,7 +489,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_int("--threads", args.threads)
         return args.func(args)
-    except (ParameterDomainError, UnsupportedConfigurationError) as exc:
+    except ParameterDomainError as exc:
         sys.stderr.write(f"gmcfar: {exc}\n")
         return 2
     except InconsistentReportError as exc:

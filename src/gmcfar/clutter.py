@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ParameterDomainError, QuantileOverflowError,
-                     _check_positive)
+                     _check_instance, _check_positive)
 from .rng import RandomStream
 
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
@@ -49,6 +49,7 @@ def _scalar_like(result: np.ndarray, template) -> "float | np.ndarray":
 
 def pareto_cdf(params: ParetoParams, t):
     """P(Z <= t) for Pareto(shape, scale); zero below the support point."""
+    _check_instance("params", params, ParetoParams)
     arr = _as_float_array(t, "t")
     with np.errstate(divide="ignore"):
         out = np.where(arr < params.scale, 0.0,
@@ -62,6 +63,7 @@ def pareto_quantile(params: ParetoParams, u):
     Raises :class:`QuantileOverflowError` when the result exceeds the double
     range (u extremely close to 1), rather than returning infinity.
     """
+    _check_instance("params", params, ParetoParams)
     arr = np.asarray(u, dtype=np.float64)
     if np.any(arr < 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
         raise ParameterDomainError("u must lie in [0, 1)")
@@ -75,6 +77,7 @@ def pareto_quantile(params: ParetoParams, u):
 
 def dual_to_pareto(params: ParetoParams, x_star):
     """Map unit exponentials to Pareto variates: scale * exp(x_star / shape)."""
+    _check_instance("params", params, ParetoParams)
     arr = _as_float_array(x_star, "x_star")
     if np.any(arr < 0.0):
         raise ParameterDomainError("x_star must be non-negative")
@@ -83,6 +86,7 @@ def dual_to_pareto(params: ParetoParams, x_star):
 
 def pareto_to_dual(params: ParetoParams, z):
     """Inverse of :func:`dual_to_pareto`: shape * log(z / scale) for z >= scale."""
+    _check_instance("params", params, ParetoParams)
     arr = _as_float_array(z, "z")
     if np.any(arr < params.scale):
         raise ParameterDomainError("z must be >= scale")
@@ -91,4 +95,6 @@ def pareto_to_dual(params: ParetoParams, z):
 
 def sample_pareto(params: ParetoParams, stream: RandomStream, count: int) -> np.ndarray:
     """i.i.d. Pareto Type I variates via the inverse-CDF dual route."""
+    _check_instance("params", params, ParetoParams)
+    _check_instance("stream", stream, RandomStream)
     return params.scale * np.exp(stream.exponentials(count) / params.shape)

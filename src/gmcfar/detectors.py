@@ -157,6 +157,7 @@ def margins_full_multi(cut, reference, tau) -> np.ndarray:
 
 
 def _single_cut(window: Window) -> Window:
+    _check_instance("window", window, Window)
     if window.n_cut != 1:
         raise ParameterDomainError(
             f"single-pulse detector requires exactly one cell under test, "
@@ -177,6 +178,7 @@ def gm_full_single(window: Window, tau: float) -> Decision:
 
 def gm_partial_multi(window: Window, tau: float, scale: float) -> Decision:
     """Multi-pulse rule with known clutter scale: prod X_i vs scale^(N-M*tau) * prod Z_j^tau."""
+    _check_instance("window", window, Window)
     margin = margins_partial_multi(window.cut[None, :], window.reference[None, :],
                                    tau, scale)[0]
     return Decision.from_margin(margin)
@@ -184,5 +186,6 @@ def gm_partial_multi(window: Window, tau: float, scale: float) -> Decision:
 
 def gm_full_multi(window: Window, tau: float) -> Decision:
     """Multi-pulse rule anchored on the reference minimum (fully CFAR)."""
+    _check_instance("window", window, Window)
     margin = margins_full_multi(window.cut[None, :], window.reference[None, :], tau)[0]
     return Decision.from_margin(margin)

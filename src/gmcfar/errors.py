@@ -24,11 +24,6 @@ class QuantileOverflowError(GmCfarError, OverflowError):
     """A quantile evaluates beyond the representable floating-point range."""
 
 
-class UnsupportedConfigurationError(GmCfarError, ValueError):
-    """A closed form is not available for this configuration; use the
-    quadrature oracle instead."""
-
-
 class NumericalFailureError(GmCfarError, RuntimeError):
     """A numerical routine failed to meet its requested tolerance.
 

@@ -36,8 +36,8 @@ import numpy as np
 from . import pfa as _pfa
 from .detectors import DetectorKind, _check_window, _row_reduce
 from .errors import (_U64, InconsistentReportError, NumericalFailureError,
-                     ParameterDomainError, UnsupportedConfigurationError,
-                     _check_instance, _check_int, _check_tau, _is_real)
+                     ParameterDomainError, _check_instance, _check_int,
+                     _check_tau, _is_real)
 from .pfa import PfaFormulaVariant
 from .rng import RandomStream
 
@@ -79,7 +79,7 @@ _REPORT_FIELDS = dict(
 _POINT_FIELDS = dict(
     n_cut=(int,), m_ref=(int,), tau=_NUM, mc_estimate=_NUM, mc_ci_low=_NUM,
     mc_ci_high=_NUM, mc_successes=(int,), quadrature=_NUM,
-    quadrature_excess_m=_OPT_NUM, paper=_OPT_NUM, candidate=_OPT_NUM,
+    quadrature_excess_m=_OPT_NUM, paper=_NUM, candidate=_OPT_NUM,
     oracle_consistent=(bool,), paper_verdict=(str,),
     candidate_verdict=(str,), discriminates=(bool,),
     insufficient_precision=(bool,))
@@ -355,7 +355,7 @@ class GridPointRecord:
     mc: EstimateWithCI
     quadrature: float
     quadrature_excess_m: Optional[float]
-    paper: Optional[float]
+    paper: float
     candidate: Optional[float]
     oracle_consistent: bool = dataclasses.field(init=False)
     paper_verdict: str = dataclasses.field(init=False)
@@ -367,16 +367,15 @@ class GridPointRecord:
         band = 4.0 * self.mc.sigma
         lo, hi = self.mc.estimate - band, self.mc.estimate + band
 
-        def verdict_of(value: Optional[float]) -> str:
-            return ("not-evaluated" if value is None else
-                    "consistent" if lo <= value <= hi else "inconsistent")
+        def verdict_of(value: float) -> str:
+            return "consistent" if lo <= value <= hi else "inconsistent"
 
-        both = self.paper is not None and self.candidate is not None
+        both = self.candidate is not None
         derive = functools.partial(object.__setattr__, self)
         derive("oracle_consistent", lo <= self.quadrature <= hi)
         derive("paper_verdict", verdict_of(self.paper))
-        derive("candidate_verdict", "not-applicable" if self.candidate is None
-               and self.paper is not None else verdict_of(self.candidate))
+        derive("candidate_verdict", verdict_of(self.candidate) if both
+               else "not-applicable")
         derive("discriminates",
                both and self.paper_verdict != self.candidate_verdict)
         derive("insufficient_precision",
@@ -410,12 +409,10 @@ class AdjudicationReport:
         points = self.points
         derive = functools.partial(object.__setattr__, self)
         derive("internally_consistent", all(p.oracle_consistent for p in points))
-        paper_ok = all(p.paper_verdict == "consistent"
-                       for p in points if p.paper is not None)
-        candidate_ok = all(p.candidate_verdict == "consistent"
-                           for p in points if p.candidate is not None)
-        has_rivalry = any(p.paper is not None and p.candidate is not None
-                          and p.paper != p.candidate for p in points)
+        paper_ok = all(p.paper_verdict == "consistent" for p in points)
+        candidate_ok = all(p.candidate_verdict == "consistent" for p in points)
+        has_rivalry = any(p.candidate is not None and p.candidate != p.paper
+                          for p in points)
         no_separation = has_rivalry and not any(p.discriminates for p in points)
         few_trials = self.trials < _VERDICT_MIN_TRIALS
         derive("insufficient_precision", few_trials or no_separation)
@@ -423,7 +420,7 @@ class AdjudicationReport:
         if self.internally_consistent and not few_trials:
             if not has_rivalry:
                 # Single-form kinds: validate the printed formula or fall back.
-                if paper_ok and any(p.paper is not None for p in points):
+                if paper_ok:
                     validated = PfaFormulaVariant.PAPER
             elif paper_ok != candidate_ok:
                 validated = (PfaFormulaVariant.PAPER if paper_ok
@@ -531,19 +528,16 @@ def default_grid(kind: DetectorKind, n_cut: Sequence[int] = DEFAULT_N_CUT,
 
 
 def _closed_form(kind: DetectorKind, n: int, m: int, tau: float,
-                 variant: Optional[PfaFormulaVariant]) -> Optional[float]:
+                 variant: Optional[PfaFormulaVariant]) -> float:
     """The closed form of ``kind`` in ``variant`` (the partial kinds have one
-    form and ignore it); None where it refuses the configuration."""
+    form and ignore it)."""
     if kind is DetectorKind.GM_PARTIAL_SINGLE:
         return _pfa.pfa_gm_partial_single(m, tau)
     if kind is DetectorKind.GM_PARTIAL_MULTI:
         return _pfa.pfa_gm_partial_multi(n, m, tau)
     if kind is DetectorKind.GM_FULL_SINGLE:
         return _pfa.pfa_gm_full_single(m, tau, variant)
-    try:
-        return _pfa.pfa_gm_full_multi(n, m, tau, variant)
-    except UnsupportedConfigurationError:
-        return None
+    return _pfa.pfa_gm_full_multi(n, m, tau, variant)
 
 
 def _variants(kind: DetectorKind) -> tuple[PfaFormulaVariant, ...]:
@@ -555,11 +549,10 @@ def _variants(kind: DetectorKind) -> tuple[PfaFormulaVariant, ...]:
 
 def _closed_forms(kind: DetectorKind, n: int, m: int, tau: float) -> tuple:
     """The (paper, candidate) closed forms a grid point records; candidate
-    is None for the single-form kinds and wherever the paper form refuses."""
-    paper = _closed_form(kind, n, m, tau, PfaFormulaVariant.PAPER)
-    candidate = (_closed_form(kind, n, m, tau, PfaFormulaVariant.CANDIDATE)
-                 if kind.is_full and paper is not None else None)
-    return paper, candidate
+    is None for the single-form kinds."""
+    return (_closed_form(kind, n, m, tau, PfaFormulaVariant.PAPER),
+            _closed_form(kind, n, m, tau, PfaFormulaVariant.CANDIDATE)
+            if kind.is_full else None)
 
 
 def _quadrature(kind: DetectorKind, n: int, m: int, tau: float, tol: float,
@@ -635,7 +628,5 @@ def validated_pfa(kind: DetectorKind, report: AdjudicationReport,
 
     variant = report.validated_variant
     if variant is not None or kind is DetectorKind.GM_PARTIAL_SINGLE:
-        value = _closed_form(kind, n, m, tau, variant)
-        if value is not None:
-            return value
+        return _closed_form(kind, n, m, tau, variant)
     return _quadrature(kind, n, m, tau, tol)

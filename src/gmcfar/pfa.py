@@ -27,8 +27,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import (ParameterDomainError, UnsupportedConfigurationError,
-                     _check_int, _check_tau)
+from .errors import ParameterDomainError, _check_int, _check_tau
 
 # Scaled terms stay below _RESCALE; a leading term below 1/_RESCALE starts
 # the recurrence from 1 with its log carried as an offset.
@@ -160,19 +159,13 @@ def pfa_gm_full_multi(n_cut: int, m_ref: int, tau: float,
     ``M sum_n f(n) G(N-1-n)``, with f the scaled negative-binomial term
     recurrence and G the prefix sums of the geometric weight in closed form.
 
-    Closed forms require m_ref >= 2; the m_ref = 1 detector is tau-invariant
-    and is served by the quadrature oracle.
+    Both evaluate at every window, m_ref = 1 included, where CANDIDATE's
+    shape is 0 and it gives the tau-invariant ``1 - (N/(N+1))**N``.
     """
     n = _check_int("n_cut", n_cut)
     m = _check_int("m_ref", m_ref)
     tau = _check_tau(tau)
     _check_variant(variant)
-    if m < 2:
-        raise UnsupportedConfigurationError(
-            "closed-form Pfa requires m_ref >= 2; use quadrature_pfa_full_multi "
-            "(the m_ref = 1 rule is tau-invariant)"
-        )
-
     # f has shape a; G(j) = sum_{i<=j} q**i / (N+M) = (1 - q**(j+1)) / norm
     # with norm = (N+M)(1-q), an integer.
     if variant is PfaFormulaVariant.PAPER:

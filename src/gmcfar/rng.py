@@ -17,25 +17,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _U64, _check_int
+from .errors import _U64, ParameterDomainError, _check_int
 
 
 def stable_u64(*parts) -> int:
     """Deterministic 64-bit hash of a tuple of ints/strings/floats.
 
     Unlike ``hash()`` this is not salted per process, so derived stream ids
-    are identical across runs and machines.
+    are identical across runs and machines.  A bool is not an int here, so
+    ``True`` cannot alias the tag ``1``.
     """
     h = hashlib.blake2b(digest_size=8)
     for p in parts:
         if isinstance(p, str):
             h.update(b"s" + p.encode())
-        elif isinstance(p, (int, np.integer)):
+        elif isinstance(p, (int, np.integer)) and not isinstance(p, bool):
             h.update(b"i" + int(p).to_bytes(16, "little", signed=True))
         elif isinstance(p, float):
             h.update(b"f" + repr(p).encode())
         else:
-            raise TypeError(f"unhashable stream tag: {p!r}")
+            raise ParameterDomainError(f"unsupported stream tag: {p!r}")
         h.update(b"\x00")
     return int.from_bytes(h.digest(), "little")
 

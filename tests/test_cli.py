@@ -107,22 +107,20 @@ class TestPfaCommand:
         assert by_name["candidate"] == pytest.approx(17 / 72, rel=1e-14)
         assert by_name["quadrature"] == pytest.approx(17 / 72, rel=1e-9)
 
-    def test_all_variants_list_refused_forms_as_empty(self, capsys):
-        # Unlike a single named variant, --all-variants answers at M = 1.
+    def test_all_variants_at_one_reference(self, capsys):
         argv = ["pfa", "--kind", "full-multi", "--n", "2", "--m", "1",
                 "--tau", "1.0", "--all-variants"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        rows = {row[4]: row[5] for row in csv_rows(out)[1:]}
+        rows = {row[4]: float(row[5]) for row in csv_rows(out)[1:]}
         assert list(rows) == ["paper", "candidate", "quadrature"]
-        assert rows["paper"] == rows["candidate"] == ""
-        assert math.isfinite(float(rows["quadrature"]))
+        assert all(math.isfinite(value) for value in rows.values())
+        assert rows["candidate"] == pytest.approx(5 / 9, rel=1e-14)
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         results = {r["variant"]: r["pfa"]
                    for r in json.loads(out)["results"]}
-        assert results["paper"] is None and results["candidate"] is None
-        assert math.isfinite(results["quadrature"])
+        assert results == rows
 
     def test_crlf_csv(self, capsys):
         _, out, _ = run_cli(capsys, "pfa", "--kind", "partial-single",
@@ -161,12 +159,23 @@ class TestPfaCommand:
                              "--n", "2", "--tau", "1.0", "--variant", "paper")
         assert code == 2
 
-    def test_closed_form_refusal_is_usage_error(self, capsys):
+    def test_stored_null_closed_form_is_usage_error(self, capsys, tmp_path,
+                                                    verify_file):
+        # Reports written while full-multi refused M = 1 stored its closed
+        # forms there as null.
+        path, _, _ = verify_file
+        good = json.loads(path.read_text())["reports"]["full-multi"]
+        old = {**good["points"][0], "m_ref": 1, "paper": None,
+               "candidate": None, "paper_verdict": "not-evaluated",
+               "candidate_verdict": "not-evaluated", "discriminates": False,
+               "insufficient_precision": False}
+        bad = tmp_path / "old.json"
+        bad.write_text(json.dumps({**good, "points": [old, *good["points"]]}))
         code, _, err = run_cli(capsys, "pfa", "--kind", "full-multi",
                                "--n", "2", "--m", "1", "--tau", "1.0",
-                               "--variant", "paper")
+                               "--report", str(bad))
         assert code == 2
-        assert "quadrature" in err
+        assert "field 'paper' cannot be None" in err
 
     def test_unknown_kind_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "pfa", "--kind", "bogus",

@@ -434,15 +434,16 @@ class TestAdjudicate:
         assert report.insufficient_precision
         assert len(report.points) == 1
 
-    def test_one_reference_grid_points_run_oracle_only(self):
+    def test_one_reference_grid_point_discriminates(self):
         report = adjudicate(DetectorKind.GM_FULL_MULTI, [(2, 1, 1.0)],
                             trials=1_000_000, seed=0)
         point = report.points[0]
-        assert point.paper is None and point.candidate is None
-        assert point.paper_verdict == "not-evaluated"
+        assert point.paper_verdict == "inconsistent"
+        assert point.candidate_verdict == "consistent"
+        assert point.discriminates
         assert report.internally_consistent
-        assert report.verdict == "use-quadrature"
-        assert report.validated_variant is None
+        assert report.verdict == "candidate"
+        assert report.validated_variant is PfaFormulaVariant.CANDIDATE
 
     def test_json_round_trip(self, full_multi_report):
         text = full_multi_report.to_json()
@@ -584,11 +585,13 @@ class TestValidatedPfa:
         got = validated_pfa(DetectorKind.GM_PARTIAL_SINGLE, report, 1, 6, 2.0)
         assert got == pfa_gm_partial_single(6, 2.0)
 
-    def test_one_reference_falls_back_to_quadrature(self, full_multi_report):
+    def test_one_reference_uses_validated_closed_form(self,
+                                                      full_multi_report):
         got = validated_pfa(DetectorKind.GM_FULL_MULTI, full_multi_report,
                             2, 1, 1.0)
-        want = quadrature_pfa_full_multi(2, 1, 1.0)
-        assert got == want
+        assert got == pfa_gm_full_multi(2, 1, 1.0, PfaFormulaVariant.CANDIDATE)
+        assert got == pytest.approx(quadrature_pfa_full_multi(2, 1, 1.0),
+                                    rel=1e-12)
 
     def test_no_verdict_falls_back_to_quadrature(self, low_trials_report):
         got = validated_pfa(DetectorKind.GM_FULL_MULTI, low_trials_report,

@@ -12,11 +12,14 @@ import pytest
 import gmcfar
 from gmcfar import (DetectorKind, EstimateWithCI, ParameterDomainError,
                     ParetoParams, RandomStream, SolverConfig, SweepSpec,
-                    Window, adjudicate, cfar_grid_check, empirical_pfa,
-                    gamma_tail_poisson_sum, gm_partial_single, mc_dual_pfa,
+                    Window, adjudicate, cfar_grid_check, dual_to_pareto,
+                    empirical_pfa, gamma_tail_poisson_sum, gm_full_multi,
+                    gm_full_single, gm_partial_multi, gm_partial_single,
+                    mc_dual_pfa, pareto_cdf, pareto_quantile, pareto_to_dual,
                     pfa_gm_partial_multi, quadrature_pfa_full_multi,
-                    quadrature_pfa_partial_multi, solve_tau_numeric,
-                    solve_tau_partial_single, validated_pfa, wilson_interval)
+                    quadrature_pfa_partial_multi, sample_pareto,
+                    solve_tau_numeric, solve_tau_partial_single, stable_u64,
+                    validated_pfa, wilson_interval)
 from gmcfar.oracles import _check_tol
 
 ROOT = str(Path(gmcfar.__file__).resolve().parents[1])
@@ -98,6 +101,10 @@ IDS = (("true", True), ("1e400", 10 ** 400), ("-1", -1), ("1.5", 1.5))
 FULL = DetectorKind.GM_FULL_MULTI
 PARAMS = ParetoParams(2.0, 1.0)
 WINDOW = Window(cut=[2.0], reference=[3.0, 4.0])
+# Object arguments of the wrong type: a (shape, scale) pair for Pareto
+# parameters, a (cut, reference) pair for a window.
+PAIR = (("tuple", (2.0, 1.0)),)
+CELLS = (("tuple", ([2.0], [3.0, 4.0])),)
 
 # Each public entry point, a call that passes it one argument, and the bad
 # values of that argument; object arguments get one value of the wrong type.
@@ -152,6 +159,22 @@ ENTRIES = {
         (("ints", (1, 2)),)),
     "validated_pfa-report": (
         lambda v: validated_pfa(FULL, v, 2, 4, 1.0), (("none", None),)),
+    "pareto_cdf-params": (lambda v: pareto_cdf(v, 3.0), PAIR),
+    "pareto_quantile-params": (lambda v: pareto_quantile(v, 0.5), PAIR),
+    "dual_to_pareto-params": (lambda v: dual_to_pareto(v, 1.0), PAIR),
+    "pareto_to_dual-params": (lambda v: pareto_to_dual(v, 3.0), PAIR),
+    "sample_pareto-params": (
+        lambda v: sample_pareto(v, RandomStream(0), 4), PAIR),
+    "sample_pareto-stream": (
+        lambda v: sample_pareto(PARAMS, v, 4), (("int", 0),)),
+    "gm_partial_single-window": (
+        lambda v: gm_partial_single(v, 1.0, 1.0), CELLS),
+    "gm_full_single-window": (lambda v: gm_full_single(v, 1.0), CELLS),
+    "gm_partial_multi-window": (
+        lambda v: gm_partial_multi(v, 1.0, 1.0), CELLS),
+    "gm_full_multi-window": (lambda v: gm_full_multi(v, 1.0), CELLS),
+    "stable_u64-tag": (stable_u64, (("true", True), ("none", None))),
+    "child-tag": (lambda v: RandomStream(0).child(v), (("true", True),)),
 }
 
 

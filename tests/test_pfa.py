@@ -7,11 +7,11 @@ import mpmath
 import pytest
 from scipy.special import gammaincc
 
-from gmcfar import (ParameterDomainError, ParetoParams, PfaFormulaVariant,
-                    UnsupportedConfigurationError, Window,
-                    gamma_tail_poisson_sum, gm_partial_single,
-                    pfa_gm_full_multi, pfa_gm_full_single,
-                    pfa_gm_partial_multi, pfa_gm_partial_single)
+from gmcfar import (ExcessShape, ParameterDomainError, ParetoParams,
+                    PfaFormulaVariant, Window, gamma_tail_poisson_sum,
+                    gm_partial_single, pfa_gm_full_multi, pfa_gm_full_single,
+                    pfa_gm_partial_multi, pfa_gm_partial_single,
+                    quadrature_pfa_full_multi)
 
 PAPER = PfaFormulaVariant.PAPER
 CANDIDATE = PfaFormulaVariant.CANDIDATE
@@ -183,11 +183,25 @@ class TestFullMulti:
             assert pfa_gm_full_multi(1, m, 0.0, PAPER) == pytest.approx(want, rel=1e-13)
             assert pfa_gm_full_multi(1, m, 0.0, CANDIDATE) == pytest.approx(want, rel=1e-13)
 
-    def test_one_reference_is_refused(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            pfa_gm_full_multi(2, 1, 1.0, PAPER)
-        with pytest.raises(UnsupportedConfigurationError):
-            pfa_gm_full_multi(2, 1, 1.0, CANDIDATE)
+    def test_one_reference_matches_quadrature(self):
+        # With one reference cell the excess is empty, so the rule is
+        # tau-invariant: P(gamma(N, 1) > N T), T ~ Exp(1), is
+        # 1 - (N/(N+1))**N, and CANDIDATE's shape-0 pass gives exactly that.
+        for n in (1, 2, 4, 16, 200, 1000):
+            want = 1.0 - (n / (n + 1.0)) ** n
+            values = {pfa_gm_full_multi(n, 1, tau, CANDIDATE)
+                      for tau in (0.0, 0.1, 1.0, 5.0)}
+            assert len(values) == 1, n
+            value = values.pop()
+            assert value == pytest.approx(want, rel=1e-13), n
+            assert value == pytest.approx(quadrature_pfa_full_multi(n, 1, 1.0),
+                                          rel=1e-13), n
+        # PAPER at N = M = 1 is the printed density: excess shape M.
+        for tau in (0.0, 0.1, 1.0, 5.0):
+            assert pfa_gm_full_multi(1, 1, tau, PAPER) == pytest.approx(
+                quadrature_pfa_full_multi(1, 1, tau,
+                                          excess_shape=ExcessShape.M),
+                rel=1e-13), tau
 
     def test_strictly_decreasing_in_tau(self):
         for variant in (PAPER, CANDIDATE):

@@ -11,7 +11,8 @@ directory's path replaced by ``{tmp}``, as in the printed argv.  Two
 checkouts print the same lines exactly when every call gives the same bytes
 and exit code, so comparing the CLI output of two versions is a ``diff`` of
 two runs.  The set covers every kind under each ``pfa`` variant (CSV and
-JSON), ``--all-variants`` (also at M = 1), ``threshold``, both ``sweep``
+JSON), ``--all-variants`` (also at M = 1, and at N = 10**3, M = 1, the
+largest window the closed forms document), ``threshold``, both ``sweep``
 modes in both formats, a ``sweep`` at its 10,000-row cap and two just past
 it, ``simulate``, ``sample``, a reduced ``verify`` (its report file and
 stdout) and one whose ``--n-grid`` leaves out 1, so that the single-pulse
@@ -84,6 +85,9 @@ def invocations() -> list[list[str]]:
     calls.append(["verify", "--trials", "100000", "--cfar-trials", "20000",
                   "--n-grid", "1,2", "--m-grid", "8,32", "--tau-grid", "0.5",
                   "--out", "{tmp}/wide.json"])
+    # The full-multi candidate's shape-0 pass over 10**3 cut cells.
+    calls.append(["pfa", *window("full-multi", "1000", "1"), "--tau", "0.3",
+                  "--all-variants", "--format", "json"])
     # Monte Carlo draws are keyed by window, so here the single-pulse
     # windows (1, m) are drawn for the single-pulse kinds alone.
     calls.append(["verify", "--trials", "1000000", "--cfar-trials", "20000",
