@@ -8,10 +8,10 @@ Library layout:
   competing published and re-derived variants where they differ);
 * :mod:`gmcfar.oracles` -- Monte Carlo and quadrature oracles plus the
   adjudication that decides which closed forms to trust;
-* :mod:`gmcfar.simulate` -- end-to-end Pareto-domain simulation and the
-  CFAR homogeneity check;
+* :mod:`gmcfar.simulate` -- end-to-end Pareto-domain simulation, the CFAR
+  homogeneity check, and ``verify``, whose ``VerifyReport`` holds every stage;
 * :mod:`gmcfar.solver` -- threshold-multiplier inversion;
-* :mod:`gmcfar.cli` -- the ``gmcfar`` command-line tool;
+* :mod:`gmcfar.cli` -- the ``gmcfar`` tool's flag parsing and writing;
 * :mod:`gmcfar.errors` -- the exception types and the argument checks every
   layer shares.
 """
@@ -34,8 +34,8 @@ from .pfa import (PfaFormulaVariant, gamma_tail_poisson_sum,
                   pfa_gm_full_multi, pfa_gm_full_single, pfa_gm_partial_multi,
                   pfa_gm_partial_single)
 from .rng import RandomStream, stable_u64
-from .simulate import (CfarGridPoint, CfarGridReport, SweepSpec,
-                       cfar_grid_check, empirical_pfa)
+from .simulate import (CfarGridPoint, CfarGridReport, SweepSpec, VerifyReport,
+                       cfar_grid_check, empirical_pfa, verify)
 from .solver import SolverConfig, solve_tau_numeric, solve_tau_partial_single
 
 __version__ = "0.1.0"
@@ -61,6 +61,7 @@ __all__ = [
     "SolverConfig",
     "SweepSpec",
     "UnreachableTargetError",
+    "VerifyReport",
     "Window",
     "adjudicate",
     "adjudicate_kinds",
@@ -90,6 +91,7 @@ __all__ = [
     "solve_tau_partial_single",
     "stable_u64",
     "validated_pfa",
+    "verify",
     "wilson_interval",
     "__version__",
 ]

@@ -26,27 +26,13 @@ from .errors import (GmCfarError, InconsistentReportError,
                      ParameterDomainError, _check_int)
 from .oracles import (DEFAULT_M_REF, DEFAULT_N_CUT, DEFAULT_TAUS,
                       AdjudicationReport, PfaFormulaVariant, _closed_form,
-                      _quadrature, _variants, adjudicate, adjudicate_kinds,
-                      default_grid, validated_pfa)
+                      _quadrature, _variants, adjudicate, validated_pfa)
 from .rng import RandomStream
-from .simulate import (CfarGridPoint, SweepSpec, cfar_grid_check,
-                       empirical_pfa)
+from .simulate import CfarGridPoint, empirical_pfa, verify
 from .solver import SolverConfig, solve_tau_numeric, solve_tau_partial_single
-
-_VERIFY_SCHEMA_VERSION = 1
-
-# Clutter grid exercised by the CFAR homogeneity stage of `verify`.
-_CFAR_ALPHAS = (2.0, 5.0, 10.0)
-_CFAR_BETAS = (0.01, 1.0, 100.0)
-
-_REDUCTION_RTOL = 1e-14
 
 # Most rows one `sweep` may tabulate, in either mode.
 _MAX_SWEEP_ROWS = 10_000
-
-
-def _fmt9(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def _write(args, doc: dict, header: Sequence[str],
@@ -186,97 +172,19 @@ def _parse_grid(text: str, caster, flag: str) -> tuple:
     return values
 
 
-def _reduction_checks(m_grid, tau_grid) -> dict:
-    """Single-pulse reduction identities among the closed forms: each
-    single-pulse form equals its multi-pulse form at one cut cell."""
-    worst = 0.0
-    for m in m_grid:
-        for tau in tau_grid:
-            for single, multi in ((DetectorKind.GM_PARTIAL_SINGLE,
-                                   DetectorKind.GM_PARTIAL_MULTI),
-                                  (DetectorKind.GM_FULL_SINGLE,
-                                   DetectorKind.GM_FULL_MULTI)):
-                for variant in _variants(single):
-                    got = _closed_form(multi, 1, m, tau, variant)
-                    want = _closed_form(single, 1, m, tau, variant)
-                    worst = max(worst, abs(got - want) / want)
-    return {"max_rel_error": worst, "rtol": _REDUCTION_RTOL,
-            "passed": worst <= _REDUCTION_RTOL}
-
-
 def _cmd_verify(args) -> int:
-    n_grid = _parse_grid(args.n_grid, int, "--n-grid")
-    m_grid = _parse_grid(args.m_grid, int, "--m-grid")
-    tau_grid = _parse_grid(args.tau_grid, float, "--tau-grid")
-
-    reports = adjudicate_kinds(
-        {kind: default_grid(kind, n_grid, m_grid, tau_grid)
-         for kind in DetectorKind},
-        trials=args.trials, seed=args.seed, tol=args.tol)
-    summary = []
-    for kind, report in reports.items():
-        summary.append(
-            f"{kind.value}: verdict={report.verdict} "
-            f"oracles={'ok' if report.internally_consistent else 'DISAGREE'} "
-            f"points={len(report.points)}"
-        )
-        for point in report.points:
-            if not point.oracle_consistent:
-                summary.append(
-                    f"  oracle mismatch at n={point.n_cut} m={point.m_ref} "
-                    f"tau={_fmt9(point.tau)}: mc={_fmt9(point.mc.estimate)} "
-                    f"quadrature={_fmt9(point.quadrature)}"
-                )
-
-    cfar_reports = []
-    cfar_configs = [
-        (DetectorKind.GM_FULL_SINGLE, 1, 8, 1.0),
-        (DetectorKind.GM_FULL_MULTI, 2, 8, 1.0),
-    ]
-    params_grid = tuple(ParetoParams(shape=a, scale=b)
-                        for a in _CFAR_ALPHAS for b in _CFAR_BETAS)
-    for kind, n_cut, m_ref, tau in cfar_configs:
-        spec = SweepSpec(kind=kind, n_cut=n_cut, m_ref=m_ref, tau=tau,
-                         params_grid=params_grid, trials=args.cfar_trials,
-                         seed=args.seed)
-        cfar = cfar_grid_check(spec)
-        cfar_reports.append(cfar)
-        summary.append(
-            f"cfar {kind.value} n={n_cut} m={m_ref} tau={_fmt9(tau)}: "
-            f"chi2={_fmt9(cfar.chi2_statistic)} p={_fmt9(cfar.p_value)} "
-            f"{'pass' if cfar.passed else 'FAIL'}"
-        )
-
-    reductions = _reduction_checks(m_grid, tau_grid)
-    summary.append(
-        f"reductions: max_rel_error={_fmt9(reductions['max_rel_error'])} "
-        f"{'pass' if reductions['passed'] else 'FAIL'}"
-    )
-
-    passed = (all(r.internally_consistent for r in reports.values())
-              and all(c.passed for c in cfar_reports)
-              and reductions["passed"])
-    summary.append("verify: PASS" if passed else "verify: FAIL")
-
-    doc = {
-        "schema_version": _VERIFY_SCHEMA_VERSION,
-        "seed": args.seed,
-        "trials": args.trials,
-        "cfar_trials": args.cfar_trials,
-        "tol": args.tol,
-        "reports": {kind.value: r._to_dict() for kind, r in reports.items()},
-        "cfar": [c._to_dict() for c in cfar_reports],
-        "reductions": reductions,
-        "passed": passed,
-    }
+    report = verify(_parse_grid(args.n_grid, int, "--n-grid"),
+                    _parse_grid(args.m_grid, int, "--m-grid"),
+                    _parse_grid(args.tau_grid, float, "--tau-grid"),
+                    args.trials, args.cfar_trials, args.seed, args.tol)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc, indent=2) + "\n")
+            handle.write(json.dumps(report._to_dict(), indent=2) + "\n")
     except OSError as exc:
         raise ParameterDomainError(
             f"cannot write report {args.out}: {exc}") from exc
-    sys.stdout.write("\n".join(summary) + "\n")
-    return 0 if passed else 1
+    sys.stdout.write("\n".join(report.summary) + "\n")
+    return 0 if report.passed else 1
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:

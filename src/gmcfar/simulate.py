@@ -1,17 +1,18 @@
-"""End-to-end Pareto-domain simulation of the detectors.
+"""End-to-end Pareto-domain simulation of the detectors, and ``verify``.
 
 Unlike the dual-domain oracle, this module draws actual Pareto clutter,
 evaluates the real detector margins, and counts rejections, so it exercises
 the same code path a user of :mod:`gmcfar.detectors` runs.  The CFAR grid
 check sweeps the clutter parameters and tests rejection-count homogeneity
-with a Pearson chi-square.
+with a Pearson chi-square.  ``verify`` runs every verification stage into a
+``VerifyReport``, which derives its outcome and summary from them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,11 +21,21 @@ from .detectors import (DetectorKind, _check_window, margins_full_multi,
                         margins_partial_multi)
 from .errors import (_U64, ParameterDomainError, _check_instance, _check_int,
                      _check_positive, _check_tau)
-from .oracles import EstimateWithCI, _mc_sum
+from .oracles import (AdjudicationReport, EstimateWithCI,
+                      _closed_form, _mc_sum, _variants, adjudicate_kinds,
+                      default_grid)
 from .rng import RandomStream, stable_u64
 
 # Pass threshold for the chi-square homogeneity p-value.
 HOMOGENEITY_ALPHA = 0.001
+
+_VERIFY_SCHEMA_VERSION = 1
+
+_REDUCTION_RTOL = 1e-14
+
+# Clutter grid of the CFAR homogeneity stage of `verify`.
+_CFAR_PARAMS = tuple(ParetoParams(shape=a, scale=b) for a in (2.0, 5.0, 10.0)
+                     for b in (0.01, 1.0, 100.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,3 +185,92 @@ def cfar_grid_check(spec: SweepSpec) -> CfarGridReport:
             spec.trials, spec.seed,
             stream_id=stable_u64("cfar-point", index)))
         for index, params in enumerate(spec.params_grid)))
+
+
+def _reduction_error(m_grid, tau_grid) -> float:
+    """Worst relative error of the reduction identities: each single-pulse
+    closed form equals its multi-pulse form at one cut cell."""
+    pairs = ((DetectorKind.GM_PARTIAL_SINGLE, DetectorKind.GM_PARTIAL_MULTI),
+             (DetectorKind.GM_FULL_SINGLE, DetectorKind.GM_FULL_MULTI))
+    worst = 0.0
+    for m in m_grid:
+        for tau in tau_grid:
+            for single, multi in pairs:
+                for variant in _variants(single):
+                    got = _closed_form(multi, 1, m, tau, variant)
+                    want = _closed_form(single, 1, m, tau, variant)
+                    worst = max(worst, abs(got - want) / want)
+    return worst
+
+
+@dataclasses.dataclass(frozen=True)
+class VerifyReport:
+    """The stages of one ``verify`` run and what derives from them: the
+    ``summary`` lines ``gmcfar verify`` prints, and ``passed``, which needs
+    agreeing oracles, homogeneous CFAR grids and reductions within 1e-14."""
+
+    reports: tuple[AdjudicationReport, ...]
+    cfar: tuple[CfarGridReport, ...]
+    reduction_error: float
+    passed: bool = dataclasses.field(init=False)
+    summary: tuple[str, ...] = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        lines = []
+        for report in self.reports:
+            oracles = "ok" if report.internally_consistent else "DISAGREE"
+            lines.append(f"{report.detector.value}: verdict={report.verdict} "
+                         f"oracles={oracles} points={len(report.points)}")
+            lines += [f"  oracle mismatch at n={p.n_cut} m={p.m_ref} "
+                      f"tau={p.tau:.9g}: mc={p.mc.estimate:.9g} "
+                      f"quadrature={p.quadrature:.9g}"
+                      for p in report.points if not p.oracle_consistent]
+        for cfar in self.cfar:
+            spec = cfar.spec
+            lines.append(
+                f"cfar {spec.kind.value} n={spec.n_cut} m={spec.m_ref} "
+                f"tau={spec.tau:.9g}: chi2={cfar.chi2_statistic:.9g} "
+                f"p={cfar.p_value:.9g} {'pass' if cfar.passed else 'FAIL'}")
+        reduced = self.reduction_error <= _REDUCTION_RTOL
+        lines.append(f"reductions: max_rel_error={self.reduction_error:.9g} "
+                     f"{'pass' if reduced else 'FAIL'}")
+        passed = (all(r.internally_consistent for r in self.reports)
+                  and all(c.passed for c in self.cfar) and reduced)
+        lines.append("verify: PASS" if passed else "verify: FAIL")
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "summary", tuple(lines))
+
+    def _to_dict(self) -> dict:
+        """The JSON document ``gmcfar verify`` writes."""
+        return {
+            "schema_version": _VERIFY_SCHEMA_VERSION,
+            "seed": self.reports[0].seed,
+            "trials": self.reports[0].trials,
+            "cfar_trials": self.cfar[0].spec.trials,
+            "tol": self.reports[0].tol,
+            "reports": {r.detector.value: r._to_dict() for r in self.reports},
+            "cfar": [c._to_dict() for c in self.cfar],
+            "reductions": {"max_rel_error": self.reduction_error,
+                           "rtol": _REDUCTION_RTOL,
+                           "passed": self.reduction_error
+                           <= _REDUCTION_RTOL},
+            "passed": self.passed,
+        }
+
+
+def verify(n_grid: Sequence[int], m_grid: Sequence[int],
+           tau_grid: Sequence[float], trials: int = 10_000_000,
+           cfar_trials: int = 1_000_000, seed: int = 0,
+           tol: float = 1e-10) -> VerifyReport:
+    """Adjudicate every kind on its default grid of these values, test CFAR
+    homogeneity of both full kinds over a 3 x 3 clutter grid and the
+    reduction identities over the M and tau values, checking all first."""
+    cfar_trials = _check_int("cfar_trials", cfar_trials)
+    reports = tuple(adjudicate_kinds(
+        {kind: default_grid(kind, n_grid, m_grid, tau_grid)
+         for kind in DetectorKind}, trials, seed, tol).values())
+    cfar = tuple(cfar_grid_check(SweepSpec(
+        kind, n_cut, m_ref, 1.0, _CFAR_PARAMS, cfar_trials, seed))
+        for kind, n_cut, m_ref in ((DetectorKind.GM_FULL_SINGLE, 1, 8),
+                                   (DetectorKind.GM_FULL_MULTI, 2, 8)))
+    return VerifyReport(reports, cfar, _reduction_error(m_grid, tau_grid))

@@ -532,8 +532,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(RandomStream, "uniforms", counting)
         trials, cfar_trials = 20_000, 2_000
         windows = {(1, 2), (1, 4), (2, 2), (2, 4)}
-        cfar_points = (len(gmcfar.cli._CFAR_ALPHAS)
-                       * len(gmcfar.cli._CFAR_BETAS))
+        cfar_points = len(gmcfar.simulate._CFAR_PARAMS)
         want = (sum(trials * (n + m) for n, m in windows)
                 + cfar_points * cfar_trials * ((1 + 8) + (2 + 8)))
         for _ in range(2):
