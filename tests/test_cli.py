@@ -6,6 +6,7 @@ installed console script.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,8 @@ import gmcfar.cli
 from gmcfar import (DetectorKind, PfaFormulaVariant, RandomStream,
                     adjudicate, default_grid, pfa_gm_full_multi,
                     pfa_gm_partial_multi, pfa_gm_partial_single,
-                    quadrature_pfa_full_multi, solve_tau_partial_single)
+                    quadrature_pfa_full_multi, solve_tau_partial_single,
+                    verify)
 from gmcfar.cli import main
 from test_oracles import TAMPERINGS
 
@@ -491,6 +493,31 @@ class TestVerifyCommand:
         assert all(c["chi_square"]["passed"] for c in doc["cfar"])
         assert doc["reductions"]["passed"] is True
         assert doc["reductions"]["max_rel_error"] <= 1e-14
+
+    def test_library_verify_is_what_the_cli_writes(self, verify_file):
+        path, _, summary = verify_file
+        report = verify((1, 2), (2, 4), (0.5, 1.0), trials=1_000_000,
+                        cfar_trials=100_000)
+        assert json.dumps(report._to_dict(), indent=2) + "\n" == \
+            path.read_text()
+        assert "\n".join(report.summary) + "\n" == summary
+
+    def test_failing_report_exits_one(self, capsys, tmp_path, monkeypatch):
+        real = gmcfar.cli.verify
+
+        def failing(*args):
+            return dataclasses.replace(real(*args), reduction_error=1.0)
+
+        monkeypatch.setattr(gmcfar.cli, "verify", failing)
+        path = tmp_path / "r.json"
+        code, out, _ = run_cli(capsys, "verify", "--trials", "20000",
+                               "--cfar-trials", "2000", "--n-grid", "1",
+                               "--m-grid", "2", "--tau-grid", "1",
+                               "--out", str(path))
+        assert code == 1
+        assert out.endswith("reductions: max_rel_error=1 FAIL\n"
+                            "verify: FAIL\n")
+        assert json.loads(path.read_text())["passed"] is False
 
     def test_tiny_verify_is_reproducible(self, capsys, tmp_path):
         args = ["verify", "--trials", "50000", "--cfar-trials", "20000",

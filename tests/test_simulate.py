@@ -1,4 +1,5 @@
-"""Tests for the Pareto-domain simulator and the CFAR grid check."""
+"""Tests for the Pareto-domain simulator, the CFAR grid check and the
+``verify`` record."""
 
 import dataclasses
 import json
@@ -8,8 +9,10 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from gmcfar import (DetectorKind, EstimateWithCI, ParameterDomainError,
-                    ParetoParams, SweepSpec, cfar_grid_check, empirical_pfa,
-                    pfa_gm_partial_single, quadrature_pfa_full_multi)
+                    ParetoParams, RandomStream, SweepSpec, cfar_grid_check,
+                    empirical_pfa, pfa_gm_partial_single,
+                    quadrature_pfa_full_multi, verify)
+from gmcfar.simulate import _reduction_error
 
 PARAMS = ParetoParams(shape=5.0, scale=1.0)
 
@@ -195,3 +198,80 @@ class TestCfarGridCheck:
         for points in ((), cfar_report.points[:1]):
             with pytest.raises(ParameterDomainError):
                 dataclasses.replace(cfar_report, points=points)
+
+
+@pytest.fixture(scope="module")
+def verify_report():
+    return verify((1, 2), (2,), (1.0,), trials=20_000, cfar_trials=2_000)
+
+
+class TestVerifyReport:
+    def test_passes_and_summarises_every_stage(self, verify_report):
+        assert verify_report.passed
+        assert [line.split(":")[0] for line in verify_report.summary] == [
+            *(k.value for k in DetectorKind),
+            "cfar full-single n=1 m=8 tau=1", "cfar full-multi n=2 m=8 tau=1",
+            "reductions", "verify"]
+        assert verify_report.summary[-1] == "verify: PASS"
+        assert verify_report._to_dict()["passed"] is True
+
+    def _assert_fails_with(self, report, line):
+        assert not report.passed
+        assert line in report.summary
+        assert report.summary[-1] == "verify: FAIL"
+        assert report._to_dict()["passed"] is False
+
+    def test_failing_cfar_stage_fails(self, verify_report):
+        cfar = verify_report.cfar[1]
+        first = cfar.points[0]
+        result = EstimateWithCI(first.result.trials // 2, first.result.trials,
+                                first.result.seed)
+        failing = dataclasses.replace(cfar, points=(
+            dataclasses.replace(first, result=result), *cfar.points[1:]))
+        assert not failing.passed
+        report = dataclasses.replace(
+            verify_report, cfar=(verify_report.cfar[0], failing))
+        self._assert_fails_with(report, (
+            f"cfar full-multi n=2 m=8 tau=1: chi2={failing.chi2_statistic:.9g}"
+            f" p={failing.p_value:.9g} FAIL"))
+
+    def test_inconsistent_kind_fails(self, verify_report):
+        *others, full_multi = verify_report.reports
+        point = full_multi.points[0]
+        edited = dataclasses.replace(full_multi, points=(
+            dataclasses.replace(point, mc=EstimateWithCI(
+                0, point.mc.trials, point.mc.seed)), *full_multi.points[1:]))
+        report = dataclasses.replace(verify_report,
+                                     reports=(*others, edited))
+        self._assert_fails_with(report, (
+            f"  oracle mismatch at n=1 m=2 tau=1: mc=0 "
+            f"quadrature={point.quadrature:.9g}"))
+        assert ("full-multi: verdict=no-verdict-inconsistent-oracles "
+                "oracles=DISAGREE points=2") in report.summary
+
+    def test_reduction_error_over_bound_fails(self, verify_report):
+        report = dataclasses.replace(verify_report, reduction_error=2e-12)
+        self._assert_fails_with(report,
+                                "reductions: max_rel_error=2e-12 FAIL")
+        assert report._to_dict()["reductions"] == {
+            "max_rel_error": 2e-12, "rtol": 1e-12, "passed": False}
+
+    @pytest.mark.parametrize("m, tau", [(200, 100.0), (1000, 1.0)])
+    def test_reductions_hold_where_forms_underflow_or_lose_digits(self, m,
+                                                                 tau):
+        # At (200, 100) the single-pulse forms underflow to 0; at (1000, 1)
+        # the O(N) pass's log-offset path is accurate to about 1e-13.
+        assert _reduction_error((m,), (tau,)) <= 1e-12
+
+    def test_cfar_trials_refused_before_any_draw(self, monkeypatch):
+        drawn = []
+        uniforms = RandomStream.uniforms
+
+        def counting(stream, count, start=0):
+            drawn.append(count)
+            return uniforms(stream, count, start)
+
+        monkeypatch.setattr(RandomStream, "uniforms", counting)
+        with pytest.raises(ParameterDomainError, match="cfar_trials"):
+            verify((1,), (2,), (1.0,), trials=20_000, cfar_trials=0)
+        assert drawn == []

@@ -20,7 +20,9 @@ kinds draw windows no multi-pulse kind shares, usage errors (among them
 out-of-range seeds and an infinite Pareto shape) and ``--help``.  A
 ``simulate`` at 8x64 and 4x32 and a ``verify`` at M = 8 and 32 also reach
 numpy's own row reductions, which windows under 8 (sums) and 32 (minima)
-cells do not.
+cells do not.  Two small ``verify`` calls check the reduction identities at
+M = 200, tau = 100, where the single-pulse forms underflow to 0, and at
+M = 1000, tau = 1, and one refuses ``--cfar-trials 0`` before any draw.
 """
 
 from __future__ import annotations
@@ -93,6 +95,12 @@ def invocations() -> list[list[str]]:
     calls.append(["verify", "--trials", "1000000", "--cfar-trials", "20000",
                   "--n-grid", "2,4", "--m-grid", "1,2,4", "--tau-grid",
                   "0.5,1", "--out", "{tmp}/apart.json"])
+    # Reduction identities where the single-pulse forms underflow to 0, and
+    # where the O(N) pass keeps only about 13 digits.
+    for m, tau in (("200", "100"), ("1000", "1")):
+        calls.append(["verify", "--trials", "1000", "--cfar-trials", "1000",
+                      "--n-grid", "1", "--m-grid", m, "--tau-grid", tau,
+                      "--out", "{tmp}/reduce-" + m + ".json"])
     calls += [
         ["threshold", *window(*WINDOWS[3]), "--pfa", "1e-4",
          "--trials", "20000"],
@@ -152,6 +160,7 @@ def invocations() -> list[list[str]]:
         ["simulate", *window("full-multi", "2", "4"), "--tau", "1",
          "--alpha", "inf", "--beta", "2", "--trials", "1000"],
         ["verify", "--n-grid", "1,x", "--out", "{tmp}/bad.json"],
+        ["verify", "--cfar-trials", "0", "--out", "{tmp}/no-cfar.json"],
         ["pfa", *window("partial-single", "4", None), "--tau", "1",
          "--threads", "0"],
         [],
