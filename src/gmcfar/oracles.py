@@ -14,11 +14,12 @@ deterministic counterpart.
 ``adjudicate`` gathers that evidence over a grid; its report derives at most
 one verdict per detector from it, as does a report loaded from JSON.
 ``adjudicate_kinds`` gathers several kinds' reports at once.  Monte Carlo
-counts are keyed by the window, not the detector kind: all four rules test
-sum X, sum Y and min Y of the same exponential windows, so every kind counts
-on one draw of each window, and a single-pulse estimate equals its
-multi-pulse estimate at N = 1.  ``validated_pfa`` is the dispatch the solver
-and CLI bind to.
+counts are keyed by the cell column, not the window or the detector kind:
+all four rules test sum X, sum Y and min Y of exponential windows, and
+window (N, M) reads the first N cut and M reference columns of one draw.  So
+every window and kind of a grid counts on one draw, and a single-pulse
+estimate equals its multi-pulse estimate at N = 1.  ``validated_pfa`` is the
+dispatch the solver and CLI bind to.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import pfa as _pfa
-from .detectors import DetectorKind, _check_window, _row_reduce
+from .detectors import DetectorKind, _check_window
 from .errors import (_U64, InconsistentReportError, NumericalFailureError,
                      ParameterDomainError, _check_instance, _check_int,
                      _check_tau, _is_real)
@@ -44,9 +45,11 @@ from .rng import RandomStream
 # 95% two-sided normal quantile used by the Wilson interval.
 _Z95 = 1.959963984540054
 
-# Cells per Monte Carlo batch: 2 MiB of doubles, sized for cache so that a
-# batch's draw, reductions and tau comparisons stay there.  Results do not
-# depend on it.
+# Doubles a Monte Carlo batch keeps alive: 2 MiB, sized for cache so that a
+# batch's draw, reductions and tau comparisons stay there.  The row-major
+# batches of ``_mc_sum`` hold this many cells; the dual oracle's column
+# batches hold this many over the rows they keep.  Results do not depend on
+# it.
 _BATCH_CELLS = 1 << 18
 
 # Verdicts below this trial count are withheld: the preconditions for
@@ -147,21 +150,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
-def _batch_rows(n: int, m: int, trials: int) -> int:
-    """Windows a Monte Carlo batch holds: at most ``_BATCH_CELLS`` cells, at
-    least one window."""
-    return max(1, min(trials, _BATCH_CELLS // (n + m)))
-
-
 def _mc_sum(base: RandomStream, n: int, m: int, trials: int, count):
     """Sum, in batch order, of ``count(cut, ref)`` over ``(size, n)`` and
     ``(size, m)`` unit exponentials from the ``cut`` and ``ref`` children of
-    ``base``, ``_batch_rows`` windows a batch.  Window ``i`` always reads the
-    same stream indices, so the sum does not depend on the batch.  The draw
-    is a function of ``base`` alone: callers that key ``base`` by the window
-    only, as the dual-domain oracle does, count every rule on one draw."""
+    ``base``, at most ``_BATCH_CELLS`` cells and at least one window a batch.
+    Window ``i`` always reads the same stream indices, so the sum does not
+    depend on the batch."""
     s_cut, s_ref = base.child("cut"), base.child("ref")
-    batch = _batch_rows(n, m, trials)
+    batch = max(1, min(trials, _BATCH_CELLS // (n + m)))
     total = 0
     for done in range(0, trials, batch):
         size = min(batch, trials - done)
@@ -174,41 +170,69 @@ def _mc_sum(base: RandomStream, n: int, m: int, trials: int, count):
     return total
 
 
-def _mc_dual_counts(n_cut: int, m_ref: int,
-                    rules: Sequence[tuple[bool, float]], trials: int,
-                    seed: int) -> list[int]:
-    """Success counts P(margin > 0), one per ``(full, tau)`` of ``rules``,
-    over one draw of the (n_cut, m_ref) window.
+def _mc_dual_counts(rules: Sequence[tuple[bool, int, int, float]],
+                    trials: int, seed: int) -> list[int]:
+    """Success counts P(margin > 0), one per ``(full, n, m, tau)`` of
+    ``rules``, all on one draw of per-column streams.
 
-    A ``full`` rule is the minimum-anchored sum X > (N - M tau) Ymin +
-    tau sum Y, any other the scale-weighted sum X > tau sum Y.  The stream
-    is keyed by the window alone, so every rule and tau sees the same
-    simulated windows: the detector kinds share one draw a window, a
-    single-pulse count equals its multi-pulse count at N = 1, and
-    tau-invariance fixtures hold exactly.  The row statistics, right-hand
-    sides and masks live in buffers allocated once a call."""
-    base = RandomStream(seed, 0).child("dual", n_cut, m_ref)
-    any_full = any(full for full, _ in rules)
-    rows = _batch_rows(n_cut, m_ref, trials)
-    stats, hits = np.empty((5, rows)), np.empty(rows, dtype=bool)
+    A ``full`` rule is the minimum-anchored sum X > (n - m tau) Ymin +
+    tau sum Y, any other the scale-weighted sum X > tau sum Y.  Cut cell j
+    of trial i is index i of the stream ``("dual", "cut", j)``, reference
+    cell j index i of ``("dual", "ref", j)``, and window (n, m) reads the
+    first n cut and the first m reference columns.  So a count depends on
+    (seed, n, m, tau, trials) alone, not on the other rules or the batch:
+    the detector kinds share one draw, a single-pulse count equals its
+    multi-pulse count at N = 1, and tau-invariance fixtures hold exactly.
 
-    def count(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        size = len(xs)
-        sum_x, sum_y, y_min, rhs, anchor = stats[:, :size]
+    A batch sums the columns left to right and keeps the running reference
+    minimum.  It holds the cut sum at each n of ``rules`` and tests the rules
+    of an m once the first m reference columns are in: tau sum Y once per
+    tau, to which each full rule adds its anchor.  Rows a batch are sized by
+    the rows kept alive, one cut sum per n and about six more, not by the
+    window: every column costs one stream call a batch."""
+    base = RandomStream(seed, 0).child("dual")
+    n_values = sorted({n for _, n, _, _ in rules})
+    at_n = {n: k for k, n in enumerate(n_values)}
+    at_m = {}
+    for i, (full, n, m, tau) in enumerate(rules):
+        at_m.setdefault(m, {}).setdefault(tau, []).append(
+            (i, full, at_n[n], n - m * tau))
+    any_full = any(full for full, *_ in rules)
+    cut = [base.child("cut", j) for j in range(n_values[-1])]
+    ref = [base.child("ref", j) for j in range(max(at_m))]
+    rows = max(1, min(trials, _BATCH_CELLS // (len(n_values) + 6)))
+    sums_x, stats = np.empty((len(n_values), rows)), np.empty((3, rows))
+    hits = np.empty(rows, dtype=bool)
+    counts = [0] * len(rules)
+    for done in range(0, trials, rows):
+        size = min(rows, trials - done)
+        y_min, scaled, anchor = stats[:, :size]
         mask = hits[:size]
-        _row_reduce(np.add, xs, sum_x)
-        _row_reduce(np.add, ys, sum_y)
-        if any_full:
-            _row_reduce(np.minimum, ys, y_min)
-        counts = []
-        for full, tau in rules:
-            np.multiply(sum_y, tau, out=rhs)
-            if full:
-                rhs += np.multiply(y_min, n_cut - m_ref * tau, out=anchor)
-            counts.append(np.count_nonzero(np.greater(sum_x, rhs, out=mask)))
-        return np.array(counts, dtype=np.int64)
-
-    return _mc_sum(base, n_cut, m_ref, trials, count).tolist()
+        for j, stream in enumerate(cut):
+            column = stream.exponentials(size, start=done)
+            sum_x = column if j == 0 else np.add(sum_x, column, out=sum_x)
+            if j + 1 in at_n:
+                np.copyto(sums_x[at_n[j + 1], :size], sum_x)
+        for j, stream in enumerate(ref):
+            column = stream.exponentials(size, start=done)
+            if j == 0:
+                sum_y = column
+                if any_full:
+                    np.copyto(y_min, column)
+            else:
+                np.add(sum_y, column, out=sum_y)
+                if any_full:
+                    np.minimum(y_min, column, out=y_min)
+            for tau, tests in at_m.get(j + 1, {}).items():
+                np.multiply(sum_y, tau, out=scaled)
+                for i, full, k, scale in tests:
+                    rhs = scaled
+                    if full:
+                        rhs = np.multiply(y_min, scale, out=anchor)
+                        rhs += scaled
+                    counts[i] += int(np.count_nonzero(
+                        np.greater(sums_x[k, :size], rhs, out=mask)))
+    return counts
 
 
 def mc_dual_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
@@ -218,17 +242,19 @@ def mc_dual_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     Works in the dual domain where every detector margin is a linear
     combination of exponential sums: the scale-weighted rules reject when
     sum X* > tau * sum Y*, the minimum-anchored rules when
-    sum X* > (N - M tau) Y*min + tau * sum Y*.  The draw depends on the
-    window and seed only, so a single-pulse estimate equals the estimate of
-    its multi-pulse kind at N = 1, success for success.
+    sum X* > (N - M tau) Y*min + tau * sum Y*.  The window reads the first
+    N cut and M reference columns of the seed's draw, so the estimate equals
+    the one ``adjudicate`` records at this point, and a single-pulse estimate
+    equals the estimate of its multi-pulse kind at N = 1, success for
+    success.
     """
     n_cut, m_ref = _check_window(kind, n_cut, m_ref)
     tau = _check_tau(tau)
     trials = _check_int("trials", trials)
     seed = _check_int("seed", seed, 0, _U64)
-    counts = _mc_dual_counts(n_cut, m_ref, [(kind.is_full, tau)], trials,
-                             seed)
-    return EstimateWithCI(counts[0], trials, seed)
+    [successes] = _mc_dual_counts([(kind.is_full, n_cut, m_ref, tau)],
+                                  trials, seed)
+    return EstimateWithCI(successes, trials, seed)
 
 
 def _check_tol(tol) -> float:
@@ -568,8 +594,8 @@ def adjudicate_kinds(grids: Mapping[DetectorKind, Optional[Sequence]],
                      trials: int = 10_000_000, seed: int = 0,
                      tol: float = 1e-10) -> dict:
     """The ``adjudicate`` report of each kind of ``grids`` over its grid
-    (None for the default grid), drawing each distinct window once for all
-    the kinds."""
+    (None for the default grid), counting every window of every kind on one
+    draw, and computing each distinct quadrature once."""
     grids = {kind: [(*_check_window(kind, n, m), _check_tau(t))
                     for n, m, t in (default_grid(kind) if grid is None
                                     else grid)]
@@ -580,21 +606,27 @@ def adjudicate_kinds(grids: Mapping[DetectorKind, Optional[Sequence]],
     seed = _check_int("seed", seed, 0, _U64)
     tol = _check_tol(tol)
 
-    # One draw per distinct window, counted under each rule tested there.
-    points = dict.fromkeys((kind.is_full, n, m, tau)
-                           for kind, grid in grids.items()
-                           for n, m, tau in grid)
-    mc = {}
-    for n, m in dict.fromkeys((n, m) for _, n, m, _ in points):
-        rules = [(full, tau) for full, a, b, tau in points if (a, b) == (n, m)]
-        counts = _mc_dual_counts(n, m, rules, trials, seed)
-        for (full, tau), successes in zip(rules, counts):
-            mc[full, n, m, tau] = EstimateWithCI(successes, trials, seed)
+    # One draw of per-column streams, counted under every distinct rule.
+    points = list(dict.fromkeys((kind.is_full, n, m, tau)
+                                for kind, grid in grids.items()
+                                for n, m, tau in grid))
+    mc = {point: EstimateWithCI(successes, trials, seed) for point, successes
+          in zip(points, _mc_dual_counts(points, trials, seed))}
+
+    # The rule, not the kind, sets a quadrature: a multi-pulse kind's N = 1
+    # points repeat its single-pulse kind's.
+    quadratures = {}
+
+    def quadrature(kind, n, m, tau, shape=ExcessShape.M_MINUS_ONE):
+        key = kind.is_full, n, m, tau, shape
+        if key not in quadratures:
+            quadratures[key] = _quadrature(kind, n, m, tau, tol, shape)
+        return quadratures[key]
 
     return {kind: AdjudicationReport(kind, seed, trials, tol, tuple(
         GridPointRecord(n, m, tau, mc[kind.is_full, n, m, tau],
-                        _quadrature(kind, n, m, tau, tol),
-                        (_quadrature(kind, n, m, tau, tol, ExcessShape.M)
+                        quadrature(kind, n, m, tau),
+                        (quadrature(kind, n, m, tau, ExcessShape.M)
                          if kind.is_full else None),
                         *_closed_forms(kind, n, m, tau))
         for n, m, tau in grid)) for kind, grid in grids.items()}

@@ -546,7 +546,8 @@ class TestVerifyCommand:
             assert reports[kind.value] == alone._to_dict()
 
     def test_draws_do_not_outlive_a_call(self, capsys, tmp_path, monkeypatch):
-        # Each verify draws every distinct window once, and the CFAR stage
+        # Each verify draws one column of trials for each cell of its widest
+        # windows, which every window of the grid shares, and the CFAR stage
         # its windows once per clutter point; a second call at the same
         # seed draws all of it again.
         drawn = []
@@ -558,9 +559,8 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(RandomStream, "uniforms", counting)
         trials, cfar_trials = 20_000, 2_000
-        windows = {(1, 2), (1, 4), (2, 2), (2, 4)}
         cfar_points = len(gmcfar.simulate._CFAR_PARAMS)
-        want = (sum(trials * (n + m) for n, m in windows)
+        want = (trials * (2 + 4)
                 + cfar_points * cfar_trials * ((1 + 8) + (2 + 8)))
         for _ in range(2):
             drawn.clear()

@@ -220,23 +220,65 @@ class TestMcDualPfa:
         (DetectorKind.GM_FULL_MULTI, 3, 40),
     ])
     def test_counts_equal_textbook_reference(self, kind, n, m):
-        # The same draws, reduced by numpy and tested against the textbook
-        # right-hand sides: tau sum Y, or (N - M tau) Ymin + tau sum Y.
-        # The windows take both the column-wise and the numpy reductions.
+        # The per-column draws stacked into (trials, cells) windows, summed
+        # left to right and tested against the textbook right-hand sides:
+        # tau sum Y, or (N - M tau) Ymin + tau sum Y.
         taus, trials, seed = [0.0, 0.5, 2.0], 20_000, 4
-        base = RandomStream(seed, 0).child("dual", n, m)
+        base = RandomStream(seed, 0).child("dual")
 
-        def textbook(xs, ys):
-            sum_x, sum_y, y_min = xs.sum(axis=1), ys.sum(axis=1), ys.min(axis=1)
-            rhs = [(n - m * tau) * y_min + tau * sum_y if kind.is_full
-                   else tau * sum_y for tau in taus]
-            return np.array([np.count_nonzero(sum_x > r) for r in rhs])
+        def stacked(side, cells):
+            return np.stack([base.child(side, j).exponentials(trials)
+                             for j in range(cells)], axis=1)
 
-        want = oracles._mc_sum(base, n, m, trials, textbook).tolist()
+        xs, ys = stacked("cut", n), stacked("ref", m)
+        sum_x = np.add.accumulate(xs, axis=1)[:, -1]
+        sum_y = np.add.accumulate(ys, axis=1)[:, -1]
+        y_min = ys.min(axis=1)
+        want = [np.count_nonzero(sum_x > ((n - m * tau) * y_min + tau * sum_y
+                                          if kind.is_full else tau * sum_y))
+                for tau in taus]
         got = oracles._mc_dual_counts(
-            n, m, [(kind.is_full, tau) for tau in taus], trials, seed)
+            [(kind.is_full, n, m, tau) for tau in taus], trials, seed)
         assert got == want
 
+    def test_grid_counts_equal_single_point_counts(self):
+        # Every window reads its own columns of one draw, so a point's
+        # count does not depend on the rest of the grid.
+        trials, seed = 20_000, 9
+        reports = oracles.adjudicate_kinds(
+            {kind: None for kind in DetectorKind}, trials, seed)
+        for kind, report in reports.items():
+            for p in report.points:
+                alone = mc_dual_pfa(kind, p.n_cut, p.m_ref, p.tau, trials, seed)
+                assert p.mc == alone, (kind, p.n_cut, p.m_ref, p.tau)
+
+    @pytest.mark.parametrize("cells", [37, 5])
+    def test_grid_batch_size_does_not_change_counts(self, monkeypatch, cells):
+        rules = [(full, n, m, tau) for full in (False, True) for n in (1, 3)
+                 for m in (2, 5) for tau in (0.5, 2.0)]
+        kw = dict(trials=2_000, seed=12)
+        want = oracles._mc_dual_counts(rules, **kw)
+        # 4 rows a batch and an uneven last batch, or one row a batch.
+        monkeypatch.setattr("gmcfar.oracles._BATCH_CELLS", cells)
+        assert oracles._mc_dual_counts(rules, **kw) == want
+
+    def test_wide_window_keeps_batches_long(self, monkeypatch):
+        # One stream call a column a batch, and a batch's rows do not shrink
+        # with the window's width: a 16 x 1000 window at 4e4 trials takes two
+        # batches, not one a few hundred rows.
+        calls = []
+        uniforms = RandomStream.uniforms
+
+        def counting(stream, count, start=0):
+            calls.append(count)
+            return uniforms(stream, count, start)
+
+        monkeypatch.setattr(RandomStream, "uniforms", counting)
+        trials = 40_000
+        mc_dual_pfa(DetectorKind.GM_FULL_MULTI, 16, 1000, 0.01, trials)
+        batches = math.ceil(trials / (oracles._BATCH_CELLS // 8))
+        assert len(calls) <= batches * (16 + 1000)
+        assert sum(calls) == trials * (16 + 1000)
 
     @pytest.mark.parametrize("single, multi", [
         (DetectorKind.GM_PARTIAL_SINGLE, DetectorKind.GM_PARTIAL_MULTI),

@@ -16,11 +16,13 @@ largest window the closed forms document), ``threshold``, both ``sweep``
 modes in both formats, a ``sweep`` at its 10,000-row cap and two just past
 it, ``simulate``, ``sample``, a reduced ``verify`` (its report file and
 stdout) and one whose ``--n-grid`` leaves out 1, so that the single-pulse
-kinds draw windows no multi-pulse kind shares, usage errors (among them
-out-of-range seeds and an infinite Pareto shape) and ``--help``.  A
-``simulate`` at 8x64 and 4x32 and a ``verify`` at M = 8 and 32 also reach
-numpy's own row reductions, which windows under 8 (sums) and 32 (minima)
-cells do not.  Two small ``verify`` calls check the reduction identities at
+kinds count on a cut sum no multi-pulse window of the grid takes, usage
+errors (among them out-of-range seeds and an infinite Pareto shape) and
+``--help``.  A ``simulate`` at 8x64 and 4x32 also reaches numpy's own row
+reductions, which windows under 8 (sums) and 32 (minima) cells do not, and
+a ``verify`` at M = 8 and 32 carries the dual Monte Carlo's running
+reference sum and minimum across columns no rule tests.  Two small
+``verify`` calls check the reduction identities at
 M = 200, tau = 100, where the single-pulse forms underflow to 0, and at
 M = 1000, tau = 1, and one refuses ``--cfar-trials 0`` before any draw.
 """
@@ -84,14 +86,16 @@ def invocations() -> list[list[str]]:
     for w in (("full-multi", "8", "64"), ("partial-multi", "4", "32")):
         calls.append(["simulate", *window(*w), "--tau", "0.25", "--alpha",
                       "3", "--beta", "2", "--trials", "20000"])
+    # Reference widths that the running column sum and minimum reach only
+    # past columns no rule tests.
     calls.append(["verify", "--trials", "100000", "--cfar-trials", "20000",
                   "--n-grid", "1,2", "--m-grid", "8,32", "--tau-grid", "0.5",
                   "--out", "{tmp}/wide.json"])
     # The full-multi candidate's shape-0 pass over 10**3 cut cells.
     calls.append(["pfa", *window("full-multi", "1000", "1"), "--tau", "0.3",
                   "--all-variants", "--format", "json"])
-    # Monte Carlo draws are keyed by window, so here the single-pulse
-    # windows (1, m) are drawn for the single-pulse kinds alone.
+    # Monte Carlo draws are keyed by cell column, so here the single-pulse
+    # windows (1, m) count on a cut sum that no multi-pulse window takes.
     calls.append(["verify", "--trials", "1000000", "--cfar-trials", "20000",
                   "--n-grid", "2,4", "--m-grid", "1,2,4", "--tau-grid",
                   "0.5,1", "--out", "{tmp}/apart.json"])
