@@ -191,17 +191,16 @@ def _mc_dual_counts(rules: Sequence[tuple[bool, int, int, float]],
     the rows kept alive, one cut sum per n and about six more, not by the
     window: every column costs one stream call a batch."""
     base = RandomStream(seed, 0).child("dual")
-    n_values = sorted({n for _, n, _, _ in rules})
-    at_n = {n: k for k, n in enumerate(n_values)}
+    at_n = {n: k for k, n in enumerate(sorted({n for _, n, _, _ in rules}))}
     at_m = {}
     for i, (full, n, m, tau) in enumerate(rules):
         at_m.setdefault(m, {}).setdefault(tau, []).append(
             (i, full, at_n[n], n - m * tau))
     any_full = any(full for full, *_ in rules)
-    cut = [base.child("cut", j) for j in range(n_values[-1])]
+    cut = [base.child("cut", j) for j in range(max(at_n))]
     ref = [base.child("ref", j) for j in range(max(at_m))]
-    rows = max(1, min(trials, _BATCH_CELLS // (len(n_values) + 6)))
-    sums_x, stats = np.empty((len(n_values), rows)), np.empty((3, rows))
+    rows = max(1, min(trials, _BATCH_CELLS // (len(at_n) + 6)))
+    sums_x, stats = np.empty((len(at_n), rows)), np.empty((3, rows))
     hits = np.empty(rows, dtype=bool)
     counts = [0] * len(rules)
     for done in range(0, trials, rows):
@@ -225,10 +224,10 @@ def _mc_dual_counts(rules: Sequence[tuple[bool, int, int, float]],
                     np.minimum(y_min, column, out=y_min)
             for tau, tests in at_m.get(j + 1, {}).items():
                 np.multiply(sum_y, tau, out=scaled)
-                for i, full, k, scale in tests:
+                for i, full, k, weight in tests:
                     rhs = scaled
                     if full:
-                        rhs = np.multiply(y_min, scale, out=anchor)
+                        rhs = np.multiply(y_min, weight, out=anchor)
                         rhs += scaled
                     counts[i] += int(np.count_nonzero(
                         np.greater(sums_x[k, :size], rhs, out=mask)))

@@ -531,9 +531,9 @@ class TestVerifyCommand:
         assert first.read_bytes() == second.read_bytes()
 
     def test_shared_draws_change_no_kind_evidence(self, capsys, tmp_path):
-        # The kinds share one draw per window, and the single-pulse kinds
-        # share (1, m) with the multi-pulse kinds; each report still equals
-        # that kind's adjudication on its own.
+        # The kinds and windows share one draw of per-column streams, and
+        # the single-pulse kinds share (1, m) with the multi-pulse kinds;
+        # each report still equals that kind's adjudication on its own.
         n_grid, m_grid, taus = (1, 2), (2, 4), (0.5, 1.0)
         path = tmp_path / "r.json"
         run_cli(capsys, "verify", "--trials", "50000", "--cfar-trials",

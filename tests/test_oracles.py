@@ -287,7 +287,7 @@ class TestMcDualPfa:
     @pytest.mark.parametrize("m, tau", [(1, 0.5), (5, 0.25), (40, 1.0)])
     def test_single_pulse_equals_multi_pulse_at_one_cut(self, single, multi,
                                                         m, tau):
-        # The draw is keyed by the window, and the single-pulse rules are
+        # The draw is keyed by the cell column, and the single-pulse rules are
         # the multi-pulse rules at N = 1.
         kw = dict(trials=20_000, seed=8)
         assert (mc_dual_pfa(single, 1, m, tau, **kw)
