@@ -46,10 +46,9 @@ from .rng import RandomStream
 _Z95 = 1.959963984540054
 
 # Doubles a Monte Carlo batch keeps alive: 2 MiB, sized for cache so that a
-# batch's draw, reductions and tau comparisons stay there.  The row-major
-# batches of ``_mc_sum`` hold this many cells; the dual oracle's column
-# batches hold this many over the rows they keep.  Results do not depend on
-# it.
+# batch's draw, reductions and tau comparisons stay there.  Here it bounds
+# the dual oracle's column batches; ``simulate.empirical_pfa`` sizes its
+# row-major batches by it too.  Results do not depend on it.
 _BATCH_CELLS = 1 << 18
 
 # Verdicts below this trial count are withheld: the preconditions for
@@ -109,7 +108,6 @@ class EstimateWithCI:
 
     successes: int
     trials: int
-    seed: int
     estimate: float = dataclasses.field(init=False)
     ci_low: float = dataclasses.field(init=False)
     ci_high: float = dataclasses.field(init=False)
@@ -150,26 +148,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
-def _mc_sum(base: RandomStream, n: int, m: int, trials: int, count):
-    """Sum, in batch order, of ``count(cut, ref)`` over ``(size, n)`` and
-    ``(size, m)`` unit exponentials from the ``cut`` and ``ref`` children of
-    ``base``, at most ``_BATCH_CELLS`` cells and at least one window a batch.
-    Window ``i`` always reads the same stream indices, so the sum does not
-    depend on the batch."""
-    s_cut, s_ref = base.child("cut"), base.child("ref")
-    batch = max(1, min(trials, _BATCH_CELLS // (n + m)))
-    total = 0
-    for done in range(0, trials, batch):
-        size = min(batch, trials - done)
-        # Bound only once both are drawn, so the last batch outlives the next
-        # draw and the allocator reuses its pages rather than fault in new.
-        cut, ref = (
-            s_cut.exponentials(n * size, start=n * done).reshape(size, n),
-            s_ref.exponentials(m * size, start=m * done).reshape(size, m))
-        total += count(cut, ref)
-    return total
-
-
 def _mc_dual_counts(rules: Sequence[tuple[bool, int, int, float]],
                     trials: int, seed: int) -> list[int]:
     """Success counts P(margin > 0), one per ``(full, n, m, tau)`` of
@@ -196,7 +174,6 @@ def _mc_dual_counts(rules: Sequence[tuple[bool, int, int, float]],
     for i, (full, n, m, tau) in enumerate(rules):
         at_m.setdefault(m, {}).setdefault(tau, []).append(
             (i, full, at_n[n], n - m * tau))
-    any_full = any(full for full, *_ in rules)
     cut = [base.child("cut", j) for j in range(max(at_n))]
     ref = [base.child("ref", j) for j in range(max(at_m))]
     rows = max(1, min(trials, _BATCH_CELLS // (len(at_n) + 6)))
@@ -216,12 +193,10 @@ def _mc_dual_counts(rules: Sequence[tuple[bool, int, int, float]],
             column = stream.exponentials(size, start=done)
             if j == 0:
                 sum_y = column
-                if any_full:
-                    np.copyto(y_min, column)
+                np.copyto(y_min, column)
             else:
                 np.add(sum_y, column, out=sum_y)
-                if any_full:
-                    np.minimum(y_min, column, out=y_min)
+                np.minimum(y_min, column, out=y_min)
             for tau, tests in at_m.get(j + 1, {}).items():
                 np.multiply(sum_y, tau, out=scaled)
                 for i, full, k, weight in tests:
@@ -253,7 +228,7 @@ def mc_dual_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     seed = _check_int("seed", seed, 0, _U64)
     [successes] = _mc_dual_counts([(kind.is_full, n_cut, m_ref, tau)],
                                   trials, seed)
-    return EstimateWithCI(successes, trials, seed)
+    return EstimateWithCI(successes, trials)
 
 
 def _check_tol(tol) -> float:
@@ -372,16 +347,19 @@ def quadrature_pfa_full_multi(n_cut: int, m_ref: int, tau, tol: float = 1e-10,
 
 @dataclasses.dataclass(frozen=True)
 class GridPointRecord:
-    """The evidence at one grid point and the verdicts derived from it."""
+    """The evidence at one grid point of a kind, and the closed forms and
+    verdicts derived from it.  A minimum-anchored kind's point holds its
+    quadrature under both excess shapes, a scale-weighted kind's only one."""
 
+    kind: DetectorKind
     n_cut: int
     m_ref: int
     tau: float
     mc: EstimateWithCI
     quadrature: float
     quadrature_excess_m: Optional[float]
-    paper: float
-    candidate: Optional[float]
+    paper: float = dataclasses.field(init=False)
+    candidate: Optional[float] = dataclasses.field(init=False)
     oracle_consistent: bool = dataclasses.field(init=False)
     paper_verdict: str = dataclasses.field(init=False)
     candidate_verdict: str = dataclasses.field(init=False)
@@ -389,14 +367,23 @@ class GridPointRecord:
     insufficient_precision: bool = dataclasses.field(init=False)
 
     def __post_init__(self):
+        _check_window(self.kind, self.n_cut, self.m_ref)
+        both = self.kind.is_full
+        if (self.quadrature_excess_m is None) == both:
+            raise ParameterDomainError(
+                "report point field 'quadrature_excess_m' cannot be "
+                f"{self.quadrature_excess_m!r} for {self.kind.value}")
         band = 4.0 * self.mc.sigma
         lo, hi = self.mc.estimate - band, self.mc.estimate + band
 
         def verdict_of(value: float) -> str:
             return "consistent" if lo <= value <= hi else "inconsistent"
 
-        both = self.candidate is not None
+        form = functools.partial(_closed_form, self.kind, self.n_cut,
+                                 self.m_ref, self.tau)
         derive = functools.partial(object.__setattr__, self)
+        derive("paper", form(PfaFormulaVariant.PAPER))
+        derive("candidate", form(PfaFormulaVariant.CANDIDATE) if both else None)
         derive("oracle_consistent", lo <= self.quadrature <= hi)
         derive("paper_verdict", verdict_of(self.paper))
         derive("candidate_verdict", verdict_of(self.candidate) if both
@@ -432,6 +419,12 @@ class AdjudicationReport:
 
     def __post_init__(self):
         points = self.points
+        _check_instance("detector", self.detector, DetectorKind)
+        for p in points:
+            if p.kind is not self.detector:
+                raise ParameterDomainError(
+                    f"a {self.detector.value} report cannot hold a "
+                    f"{p.kind.value} point")
         derive = functools.partial(object.__setattr__, self)
         derive("internally_consistent", all(p.oracle_consistent for p in points))
         paper_ok = all(p.paper_verdict == "consistent" for p in points)
@@ -482,7 +475,8 @@ class AdjudicationReport:
         if doc.get("schema_version") != _REPORT_SCHEMA_VERSION:
             raise ParameterDomainError(
                 f"unsupported report schema: {doc.get('schema_version')!r}")
-        _check_fields(doc, _REPORT_FIELDS, "report")
+        _check_fields(doc, {"schema_version": (int,), **_REPORT_FIELDS},
+                      "report")
         try:
             detector = DetectorKind(doc["detector"])
             if doc["validated_variant"] is not None:
@@ -496,16 +490,10 @@ class AdjudicationReport:
         points = []
         for p in doc["points"]:
             _check_fields(p, _POINT_FIELDS, "report point")
-            n, m = _check_window(detector, p["n_cut"], p["m_ref"])
-            tau = _check_tau(p["tau"])
-            if (p["quadrature_excess_m"] is None) == detector.is_full:
-                raise ParameterDomainError(
-                    "report point field 'quadrature_excess_m' cannot be "
-                    f"{p['quadrature_excess_m']!r} for {detector.value}")
             points.append(GridPointRecord(
-                n, m, tau, EstimateWithCI(p["mc_successes"], trials, seed),
-                p["quadrature"], p["quadrature_excess_m"],
-                *_closed_forms(detector, n, m, tau)))
+                detector, p["n_cut"], p["m_ref"], _check_tau(p["tau"]),
+                EstimateWithCI(p["mc_successes"], trials), p["quadrature"],
+                p["quadrature_excess_m"]))
         report = cls(detector, seed, trials, tol, tuple(points))
         if (rebuilt := report._to_dict()) != doc:
             _check_agreement(doc, rebuilt, "report")
@@ -514,7 +502,7 @@ class AdjudicationReport:
 
 def _check_fields(doc, types: dict, what: str) -> None:
     """Raise ParameterDomainError unless ``doc`` is a JSON object holding
-    every key of ``types`` with a value of one of its types."""
+    every key of ``types``, with a value of one of its types, and no other."""
     if not isinstance(doc, dict):
         raise ParameterDomainError(f"{what} must be a JSON object")
     for key, allowed in types.items():
@@ -523,6 +511,9 @@ def _check_fields(doc, types: dict, what: str) -> None:
         if type(doc[key]) not in allowed:
             raise ParameterDomainError(
                 f"{what} field {key!r} cannot be {doc[key]!r}")
+    for key in doc:
+        if key not in types:
+            raise ParameterDomainError(f"{what} has unknown field {key!r}")
 
 
 def _check_agreement(doc: dict, want: dict, what: str) -> None:
@@ -572,14 +563,6 @@ def _variants(kind: DetectorKind) -> tuple[PfaFormulaVariant, ...]:
             else (PfaFormulaVariant.PAPER,))
 
 
-def _closed_forms(kind: DetectorKind, n: int, m: int, tau: float) -> tuple:
-    """The (paper, candidate) closed forms a grid point records; candidate
-    is None for the single-form kinds."""
-    return (_closed_form(kind, n, m, tau, PfaFormulaVariant.PAPER),
-            _closed_form(kind, n, m, tau, PfaFormulaVariant.CANDIDATE)
-            if kind.is_full else None)
-
-
 def _quadrature(kind: DetectorKind, n: int, m: int, tau: float, tol: float,
                 excess_shape: ExcessShape = ExcessShape.M_MINUS_ONE) -> float:
     """The quadrature oracle of ``kind``; ``excess_shape`` applies to the
@@ -609,7 +592,7 @@ def adjudicate_kinds(grids: Mapping[DetectorKind, Optional[Sequence]],
     points = list(dict.fromkeys((kind.is_full, n, m, tau)
                                 for kind, grid in grids.items()
                                 for n, m, tau in grid))
-    mc = {point: EstimateWithCI(successes, trials, seed) for point, successes
+    mc = {point: EstimateWithCI(successes, trials) for point, successes
           in zip(points, _mc_dual_counts(points, trials, seed))}
 
     # The rule, not the kind, sets a quadrature: a multi-pulse kind's N = 1
@@ -623,11 +606,10 @@ def adjudicate_kinds(grids: Mapping[DetectorKind, Optional[Sequence]],
         return quadratures[key]
 
     return {kind: AdjudicationReport(kind, seed, trials, tol, tuple(
-        GridPointRecord(n, m, tau, mc[kind.is_full, n, m, tau],
+        GridPointRecord(kind, n, m, tau, mc[kind.is_full, n, m, tau],
                         quadrature(kind, n, m, tau),
                         (quadrature(kind, n, m, tau, ExcessShape.M)
-                         if kind.is_full else None),
-                        *_closed_forms(kind, n, m, tau))
+                         if kind.is_full else None))
         for n, m, tau in grid)) for kind, grid in grids.items()}
 
 

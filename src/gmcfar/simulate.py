@@ -22,9 +22,9 @@ from .detectors import (DetectorKind, _check_window, margins_full_multi,
                         margins_partial_multi)
 from .errors import (_U64, ParameterDomainError, _check_instance, _check_int,
                      _check_positive, _check_tau)
-from .oracles import (_CLOSED_FORM_RTOL, AdjudicationReport, EstimateWithCI,
-                      _closed_form, _mc_sum, _variants, adjudicate_kinds,
-                      default_grid)
+from .oracles import (_BATCH_CELLS, _CLOSED_FORM_RTOL, AdjudicationReport,
+                      EstimateWithCI, _closed_form, _variants,
+                      adjudicate_kinds, default_grid)
 from .rng import RandomStream, stable_u64
 
 # Pass threshold for the chi-square homogeneity p-value.
@@ -67,7 +67,10 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
 
     Every cell is i.i.d. Pareto(params).  The scale-weighted kinds use
     ``params.scale`` as the detector's beta unless ``detector_scale``
-    overrides it (useful for studying model mismatch).
+    overrides it (useful for studying model mismatch).  Windows are drawn
+    in row-major batches of at most ``_BATCH_CELLS`` cells and at least one
+    window from the ``cut`` and ``ref`` streams; window i always reads the
+    same stream indices, so the count does not depend on the batch.
     """
     n, m = _check_window(kind, n_cut, m_ref)
     tau = _check_tau(tau)
@@ -78,19 +81,26 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
              else _check_positive("detector_scale", detector_scale))
 
     base = RandomStream(seed, stream_id).child("pareto", kind.value, n, m)
+    s_cut, s_ref = base.child("cut"), base.child("ref")
     inv_shape, log_scale = 1.0 / params.shape, np.log(params.scale)
-
-    def count(cut: np.ndarray, ref: np.ndarray) -> int:
+    batch = max(1, min(trials, _BATCH_CELLS // (n + m)))
+    successes = 0
+    for done in range(0, trials, batch):
+        size = min(batch, trials - done)
+        # Bound only once both are drawn, so the last batch outlives the next
+        # draw and the allocator reuses its pages rather than fault in new.
+        cut, ref = (
+            s_cut.exponentials(n * size, start=n * done).reshape(size, n),
+            s_ref.exponentials(m * size, start=m * done).reshape(size, m))
         # Pareto = exp(log(beta) + Exp(1)/alpha), formed in place.
         for cells in (cut, ref):
             cells *= inv_shape
             cells += log_scale
             np.exp(cells, out=cells)
-        margins = (margins_full_multi(cut, ref, tau) if kind.is_full
-                   else margins_partial_multi(cut, ref, tau, scale))
-        return int(np.count_nonzero(margins > 0.0))
-
-    return EstimateWithCI(_mc_sum(base, n, m, trials, count), trials, seed)
+        successes += int(np.count_nonzero(
+            (margins_full_multi(cut, ref, tau) if kind.is_full
+             else margins_partial_multi(cut, ref, tau, scale)) > 0.0))
+    return EstimateWithCI(successes, trials)
 
 
 @dataclasses.dataclass(frozen=True)

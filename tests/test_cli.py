@@ -199,8 +199,11 @@ class TestPfaCommand:
         lambda good: {**good, "points": [
             {**good["points"][0], "quadrature_excess_m": None},
             *good["points"][1:]]},
+        lambda good: {**good, "unknown_field": 0},
+        lambda good: {**good, "points": [
+            {**good["points"][0], "mystery": 0}, *good["points"][1:]]},
     ], ids=["list", "reports-list", "no-seed", "quadrature-variant",
-            "null-excess-m"])
+            "null-excess-m", "unknown-field", "unknown-point-field"])
     def test_malformed_report_exits_two(self, capsys, tmp_path, verify_file,
                                         damage):
         path, _, _ = verify_file

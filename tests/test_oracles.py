@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gmcfar import (AdjudicationReport, DetectorKind, EstimateWithCI,
-                    ExcessShape, InconsistentReportError,
+                    ExcessShape, GridPointRecord, InconsistentReportError,
                     NumericalFailureError, ParameterDomainError,
                     ParetoParams, PfaFormulaVariant, RandomStream,
                     SweepSpec, adjudicate, default_grid, empirical_pfa,
@@ -126,7 +126,7 @@ class TestEstimateWithCI:
     @pytest.mark.parametrize("successes, trials", [(0, 10), (50, 100),
                                                    (7, 10 ** 6), (10, 10)])
     def test_derived_from_counts(self, successes, trials):
-        est = EstimateWithCI(successes, trials, seed=3)
+        est = EstimateWithCI(successes, trials)
         assert est.estimate == successes / trials
         assert (est.ci_low, est.ci_high) == wilson_interval(successes, trials)
 
@@ -134,15 +134,15 @@ class TestEstimateWithCI:
                                                    (0, 0)])
     def test_bad_counts(self, successes, trials):
         with pytest.raises(ParameterDomainError):
-            EstimateWithCI(successes, trials, seed=0)
+            EstimateWithCI(successes, trials)
 
     def test_sigma_from_interval_width(self):
-        est = EstimateWithCI(50, 100, seed=0)
+        est = EstimateWithCI(50, 100)
         assert est.sigma == pytest.approx((est.ci_high - est.ci_low) / (2 * Z95),
                                           rel=1e-14)
 
     def test_frozen(self):
-        est = EstimateWithCI(50, 100, seed=0)
+        est = EstimateWithCI(50, 100)
         with pytest.raises(dataclasses.FrozenInstanceError):
             est.estimate = 0.7
 
@@ -540,6 +540,17 @@ class TestAdjudicate:
         with pytest.raises(ParameterDomainError):
             AdjudicationReport.from_dict(damage(doc))
 
+    @pytest.mark.parametrize("extra, message", [
+        (lambda doc: {**doc, "unknown_field": 0},
+         "report has unknown field 'unknown_field'"),
+        (_edit_first_point(mystery=lambda p: 0),
+         "report point has unknown field 'mystery'"),
+    ], ids=["report", "point"])
+    def test_unknown_field_named(self, low_trials_report, extra, message):
+        doc = json.loads(low_trials_report.to_json())
+        with pytest.raises(ParameterDomainError, match=message):
+            AdjudicationReport.from_dict(extra(doc))
+
     @pytest.mark.parametrize("tamper", TAMPERINGS.values(), ids=TAMPERINGS)
     def test_tampered_dict_rejected(self, full_multi_report, tamper):
         doc = json.loads(full_multi_report.to_json())
@@ -583,6 +594,48 @@ class TestAdjudicate:
                                             (4, 8, 0.5), (4, 8, 1.0))
 
 
+class TestGridPointRecord:
+    @pytest.mark.parametrize("name", ["full_multi_report", "full_single_report",
+                                      "partial_multi_report",
+                                      "low_trials_report"])
+    def test_closed_forms_derived_as_adjudicate_derives_them(self, request,
+                                                            name):
+        for p in request.getfixturevalue(name).points:
+            again = GridPointRecord(p.kind, p.n_cut, p.m_ref, p.tau, p.mc,
+                                    p.quadrature, p.quadrature_excess_m)
+            assert (again.paper, again.candidate) == (p.paper, p.candidate)
+            assert again == p
+
+    def test_closed_forms_of_each_variant(self, full_multi_report,
+                                          partial_multi_report):
+        p = full_multi_report.points[0]
+        assert p.paper == pfa_gm_full_multi(p.n_cut, p.m_ref, p.tau,
+                                            PfaFormulaVariant.PAPER)
+        assert p.candidate == pfa_gm_full_multi(p.n_cut, p.m_ref, p.tau,
+                                                PfaFormulaVariant.CANDIDATE)
+        p = partial_multi_report.points[0]
+        assert p.paper == pfa_gm_partial_multi(p.n_cut, p.m_ref, p.tau)
+        assert p.candidate is None
+
+    @pytest.mark.parametrize("kind, excess_m", [
+        (DetectorKind.GM_FULL_MULTI, None), (DetectorKind.GM_FULL_SINGLE, None),
+        (DetectorKind.GM_PARTIAL_MULTI, 0.5),
+        (DetectorKind.GM_PARTIAL_SINGLE, 0.5)], ids=str)
+    def test_excess_m_quadrature_matches_kind(self, kind, excess_m):
+        with pytest.raises(ParameterDomainError, match=(
+                f"report point field 'quadrature_excess_m' cannot be "
+                f"{excess_m} for {kind.value}")):
+            GridPointRecord(kind, 1, 4, 1.0, EstimateWithCI(50, 100), 0.5,
+                            excess_m)
+
+    def test_report_refuses_point_of_another_kind(self, full_multi_report,
+                                                  partial_multi_report):
+        with pytest.raises(ParameterDomainError, match=(
+                "a full-multi report cannot hold a partial-multi point")):
+            dataclasses.replace(full_multi_report, points=(
+                *full_multi_report.points, partial_multi_report.points[0]))
+
+
 _PARAMS = ParetoParams(2.0, 1.0)
 
 
@@ -596,8 +649,10 @@ _PARAMS = ParetoParams(2.0, 1.0)
         kind, adjudicate(kind, [(1, 4, 1.0)], trials=1_000), 2, 4, 1.0),
     lambda kind: empirical_pfa(kind, 2, 4, 1.0, _PARAMS, trials=10),
     lambda kind: SweepSpec(kind, 2, 4, 1.0, [_PARAMS], trials=10, seed=0),
+    lambda kind: GridPointRecord(kind, 2, 4, 1.0, EstimateWithCI(50, 100),
+                                 0.5, 0.4 if kind.is_full else None),
 ], ids=["mc_dual_pfa", "adjudicate", "validated_pfa", "empirical_pfa",
-        "SweepSpec"])
+        "SweepSpec", "GridPointRecord"])
 def test_single_kinds_require_one_cut_cell(entry, kind):
     with pytest.raises(ParameterDomainError, match="requires n_cut == 1"):
         entry(kind)

@@ -126,7 +126,7 @@ ENTRIES = {
     "uniforms-start": (lambda v: RandomStream(0).uniforms(4, v), COUNTS),
     "wilson_interval-successes": (lambda v: wilson_interval(v, 10), COUNTS),
     "wilson_interval-trials": (lambda v: wilson_interval(1, v), COUNTS),
-    "EstimateWithCI-successes": (lambda v: EstimateWithCI(v, 10, 0), COUNTS),
+    "EstimateWithCI-successes": (lambda v: EstimateWithCI(v, 10), COUNTS),
     "mc_dual_pfa-tau": (lambda v: mc_dual_pfa(FULL, 2, 4, v, 10), REALS),
     "mc_dual_pfa-seed": (lambda v: mc_dual_pfa(FULL, 2, 4, 1.0, 10, v), IDS),
     "quadrature_pfa_partial_multi-tol": (

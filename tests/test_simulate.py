@@ -102,7 +102,7 @@ class TestEmpiricalPfa:
         kw = dict(params=PARAMS, trials=10_000, seed=6)
         want = empirical_pfa(kind, n, 8, 1.0, **kw).successes
         # 333 or 370 windows a batch, then an uneven last batch of 10.
-        monkeypatch.setattr("gmcfar.oracles._BATCH_CELLS", 3337)
+        monkeypatch.setattr("gmcfar.simulate._BATCH_CELLS", 3337)
         assert empirical_pfa(kind, n, 8, 1.0, **kw).successes == want
 
     @pytest.mark.parametrize("kind, n", [(DetectorKind.GM_PARTIAL_MULTI, 2),
@@ -112,7 +112,7 @@ class TestEmpiricalPfa:
         kw = dict(params=PARAMS, trials=1000, seed=6)
         want = empirical_pfa(kind, n, 8 - n, 1.0, **kw).successes
         # Fewer cells than one window: every batch holds a single row.
-        monkeypatch.setattr("gmcfar.oracles._BATCH_CELLS", 5)
+        monkeypatch.setattr("gmcfar.simulate._BATCH_CELLS", 5)
         assert empirical_pfa(kind, n, 8 - n, 1.0, **kw).successes == want
 
 
@@ -158,7 +158,7 @@ class TestCfarGridCheck:
     def test_statistic_derived_from_counts(self, cfar_report):
         first = cfar_report.points[0]
         result = EstimateWithCI(first.result.successes + 50,
-                                first.result.trials, first.result.seed)
+                                first.result.trials)
         edited = dataclasses.replace(cfar_report, points=(
             dataclasses.replace(first, result=result),
             *cfar_report.points[1:]))
@@ -224,8 +224,7 @@ class TestVerifyReport:
     def test_failing_cfar_stage_fails(self, verify_report):
         cfar = verify_report.cfar[1]
         first = cfar.points[0]
-        result = EstimateWithCI(first.result.trials // 2, first.result.trials,
-                                first.result.seed)
+        result = EstimateWithCI(first.result.trials // 2, first.result.trials)
         failing = dataclasses.replace(cfar, points=(
             dataclasses.replace(first, result=result), *cfar.points[1:]))
         assert not failing.passed
@@ -240,7 +239,7 @@ class TestVerifyReport:
         point = full_multi.points[0]
         edited = dataclasses.replace(full_multi, points=(
             dataclasses.replace(point, mc=EstimateWithCI(
-                0, point.mc.trials, point.mc.seed)), *full_multi.points[1:]))
+                0, point.mc.trials)), *full_multi.points[1:]))
         report = dataclasses.replace(verify_report,
                                      reports=(*others, edited))
         self._assert_fails_with(report, (
