@@ -287,6 +287,15 @@ def _add_window_flags(parser: argparse.ArgumentParser) -> None:
                         help="reference cell count (multi kinds only)")
 
 
+def _add_clutter_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", type=float, required=True,
+                        help="Pareto shape; refused (exit 2) where beta * "
+                             "exp(36.74 / alpha) overflows the double range, "
+                             "so alpha >= 53/1024 = 0.0518 at beta <= 1")
+    parser.add_argument("--beta", type=float, required=True,
+                        help="Pareto scale")
+
+
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--report", default=None,
                         help="adjudication report JSON written by `verify`; "
@@ -342,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "clutter")
     _add_window_flags(p_sim)
     p_sim.add_argument("--tau", type=float, required=True)
-    p_sim.add_argument("--alpha", type=float, required=True)
-    p_sim.add_argument("--beta", type=float, required=True)
+    _add_clutter_flags(p_sim)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -373,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sam = sub.add_parser("sample", parents=[common],
                            help="draw Pareto clutter samples")
-    p_sam.add_argument("--alpha", type=float, required=True)
-    p_sam.add_argument("--beta", type=float, required=True)
+    _add_clutter_flags(p_sam)
     p_sam.add_argument("--count", type=int, required=True)
     p_sam.add_argument("--out", default=None,
                        help="output path (default stdout)")

@@ -2,9 +2,10 @@
 
 Unlike the dual-domain oracle, this module draws actual Pareto clutter,
 evaluates the real detector margins, and counts rejections, so it exercises
-the same code path a user of :mod:`gmcfar.detectors` runs.  The CFAR grid
-check sweeps the clutter parameters and tests rejection-count homogeneity
-with a Pearson chi-square.  ``verify`` runs every verification stage into a
+the same code path a user of :mod:`gmcfar.detectors` runs, on clutter made
+by the one Pareto map of :mod:`gmcfar.clutter`.  The CFAR grid check sweeps
+the clutter parameters and tests rejection-count homogeneity with a Pearson
+chi-square.  ``verify`` runs every verification stage into a
 ``VerifyReport``, which derives its outcome and summary from them.
 """
 
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clutter import ParetoParams
+from .clutter import ParetoParams, _check_drawable, _pareto_from_dual
 from .detectors import (DetectorKind, _check_window, margins_full_multi,
                         margins_partial_multi)
 from .errors import (_U64, ParameterDomainError, _check_instance, _check_int,
@@ -70,7 +71,8 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     overrides it (useful for studying model mismatch).  Windows are drawn
     in row-major batches of at most ``_BATCH_CELLS`` cells and at least one
     window from the ``cut`` and ``ref`` streams; window i always reads the
-    same stream indices, so the count does not depend on the batch.
+    same stream indices, so the count does not depend on the batch.  Clutter
+    whose variates can exceed the double range is refused before any draw.
     """
     n, m = _check_window(kind, n_cut, m_ref)
     tau = _check_tau(tau)
@@ -79,10 +81,10 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
     seed = _check_int("seed", seed, 0, _U64)
     scale = (params.scale if detector_scale is None
              else _check_positive("detector_scale", detector_scale))
+    _check_drawable(params)
 
     base = RandomStream(seed, stream_id).child("pareto", kind.value, n, m)
     s_cut, s_ref = base.child("cut"), base.child("ref")
-    inv_shape, log_scale = 1.0 / params.shape, np.log(params.scale)
     batch = max(1, min(trials, _BATCH_CELLS // (n + m)))
     successes = 0
     for done in range(0, trials, batch):
@@ -90,13 +92,10 @@ def empirical_pfa(kind: DetectorKind, n_cut: int, m_ref: int, tau,
         # Bound only once both are drawn, so the last batch outlives the next
         # draw and the allocator reuses its pages rather than fault in new.
         cut, ref = (
-            s_cut.exponentials(n * size, start=n * done).reshape(size, n),
-            s_ref.exponentials(m * size, start=m * done).reshape(size, m))
-        # Pareto = exp(log(beta) + Exp(1)/alpha), formed in place.
-        for cells in (cut, ref):
-            cells *= inv_shape
-            cells += log_scale
-            np.exp(cells, out=cells)
+            _pareto_from_dual(params, s_cut.exponentials(
+                n * size, start=n * done).reshape(size, n)),
+            _pareto_from_dual(params, s_ref.exponentials(
+                m * size, start=m * done).reshape(size, m)))
         successes += int(np.count_nonzero(
             (margins_full_multi(cut, ref, tau) if kind.is_full
              else margins_partial_multi(cut, ref, tau, scale)) > 0.0))

@@ -318,6 +318,19 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, alpha, beta", [
+        ("full-multi", "0.01", "1"), ("partial-multi", "0.2", "1e300")])
+    def test_beyond_double_range_exits_two(self, capsys, kind, alpha, beta):
+        code, out, err = run_cli(
+            capsys, "simulate", "--kind", kind, "--n", "2", "--m", "8",
+            "--tau", "1", "--alpha", alpha, "--beta", beta,
+            "--trials", "100000")
+        assert code == 2
+        assert out == ""
+        assert f"alpha={float(alpha)!r} and beta={float(beta)!r}" in err
+        assert "double range" in err
+
 
 class TestSweepCommand:
     def test_tau_sweep_matches_closed_form(self, capsys, no_adjudication):
@@ -474,6 +487,17 @@ class TestSampleCommand:
         code, _, _ = run_cli(capsys, "sample", "--alpha", "2.0",
                              "--beta", "1.0", "--count", "0")
         assert code == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_beyond_double_range_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "samples.txt"
+        code, out, err = run_cli(capsys, "sample", "--alpha", "0.01",
+                                 "--beta", "1", "--count", "100000",
+                                 "--seed", "0", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "alpha=0.01 and beta=1.0" in err
+        assert not target.exists()
 
 
 class TestVerifyCommand:

@@ -128,3 +128,49 @@ def test_dual_of_samples_is_unit_exponential():
     e = pareto_to_dual(params, z)
     result = kstest(e, "expon")
     assert result.pvalue > 0.001
+
+
+def test_sample_pareto_is_the_dual_map_of_its_stream():
+    params = ParetoParams(3.0, 2.0)
+    stream = RandomStream(seed=8, stream_id=2)
+    want = dual_to_pareto(params, stream.exponentials(10_000))
+    assert np.array_equal(sample_pareto(params, stream, 10_000), want)
+
+
+def test_dual_to_pareto_leaves_its_argument():
+    x = np.linspace(0.0, 5.0, 11)
+    before = x.copy()
+    dual_to_pareto(ParetoParams(2.0, 3.0), x)
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dual_to_pareto_overflow_reported():
+    with pytest.raises(QuantileOverflowError):
+        dual_to_pareto(ParetoParams(0.01, 1.0), 10.0)
+    with pytest.raises(QuantileOverflowError):
+        dual_to_pareto(ParetoParams(0.01, 1.0), np.array([1.0, 10.0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_pareto_beyond_double_range_refused_before_drawing(
+        monkeypatch):
+    drawn = []
+    monkeypatch.setattr(RandomStream, "uniforms",
+                        lambda *args, **kwargs: drawn.append(args))
+    with pytest.raises(ParameterDomainError, match="alpha=0.01 and beta=1.0"):
+        sample_pareto(ParetoParams(0.01, 1.0), RandomStream(0), 100_000)
+    assert drawn == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape, refused", [(0.0517578, True),
+                                            (0.0517579, False)])
+def test_sample_pareto_bound(shape, refused):
+    # At scale 1 the bound is 53/1024 = 0.0517578125.
+    params, stream = ParetoParams(shape, 1.0), RandomStream(0)
+    if refused:
+        with pytest.raises(ParameterDomainError, match="double range"):
+            sample_pareto(params, stream, 1000)
+    else:
+        assert np.isfinite(sample_pareto(params, stream, 1000)).all()

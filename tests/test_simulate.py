@@ -10,8 +10,8 @@ from scipy.stats import chi2_contingency
 
 from gmcfar import (DetectorKind, EstimateWithCI, ParameterDomainError,
                     ParetoParams, RandomStream, SweepSpec, cfar_grid_check,
-                    empirical_pfa, pfa_gm_partial_single,
-                    quadrature_pfa_full_multi, verify)
+                    dual_to_pareto, empirical_pfa, margins_full_multi,
+                    pfa_gm_partial_single, quadrature_pfa_full_multi, verify)
 from gmcfar.simulate import _reduction_error
 
 PARAMS = ParetoParams(shape=5.0, scale=1.0)
@@ -94,6 +94,46 @@ class TestEmpiricalPfa:
             empirical_pfa(DetectorKind.GM_PARTIAL_MULTI, 2, 4, 1.0, PARAMS,
                           trials=10, detector_scale=0.0)
 
+    def test_cells_are_the_dual_map_of_the_streams(self, monkeypatch):
+        kind, n, m, trials, seed = DetectorKind.GM_FULL_MULTI, 2, 8, 1000, 3
+        params, seen = ParetoParams(3.0, 2.0), []
+
+        def capture(cut, ref, tau):
+            seen.append((cut.copy(), ref.copy()))
+            return margins_full_multi(cut, ref, tau)
+
+        monkeypatch.setattr("gmcfar.simulate.margins_full_multi", capture)
+        empirical_pfa(kind, n, m, 1.0, params, trials, seed)
+        [(cut, ref)] = seen
+        base = RandomStream(seed, 0).child("pareto", kind.value, n, m)
+        for name, cells, width in (("cut", cut, n), ("ref", ref, m)):
+            e = base.child(name).exponentials(width * trials)
+            want = dual_to_pareto(params, e.reshape(trials, width))
+            assert np.array_equal(cells, want), name
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, params", [
+        (DetectorKind.GM_FULL_MULTI, ParetoParams(0.01, 1.0)),
+        (DetectorKind.GM_PARTIAL_MULTI, ParetoParams(0.2, 1e300))])
+    def test_beyond_double_range_refused_before_drawing(self, monkeypatch,
+                                                         kind, params):
+        drawn = []
+        monkeypatch.setattr(RandomStream, "uniforms",
+                            lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(ParameterDomainError, match="double range"):
+            empirical_pfa(kind, 2, 8, 1.0, params, trials=100_000)
+        assert drawn == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape, refused", [(0.0517578, True),
+                                                (0.0517579, False)])
+    def test_double_range_bound(self, shape, refused):
+        kw = dict(params=ParetoParams(shape, 1.0), trials=1000)
+        if refused:
+            with pytest.raises(ParameterDomainError, match="double range"):
+                empirical_pfa(DetectorKind.GM_FULL_MULTI, 2, 8, 1.0, **kw)
+        else:
+            empirical_pfa(DetectorKind.GM_FULL_MULTI, 2, 8, 1.0, **kw)
 
     @pytest.mark.parametrize("kind, n", [(DetectorKind.GM_PARTIAL_MULTI, 2),
                                          (DetectorKind.GM_FULL_MULTI, 2),

@@ -17,10 +17,12 @@ modes in both formats, a ``sweep`` at its 10,000-row cap and two just past
 it, ``simulate``, ``sample``, a reduced ``verify`` (its report file and
 stdout) and one whose ``--n-grid`` leaves out 1, so that the single-pulse
 kinds count on a cut sum no multi-pulse window of the grid takes, usage
-errors (among them out-of-range seeds and an infinite Pareto shape) and
-``--help``.  A ``simulate`` at 8x64 and 4x32 also reaches numpy's own row
-reductions, which windows under 8 (sums) and 32 (minima) cells do not, and
-a ``verify`` at M = 8 and 32 carries the dual Monte Carlo's running
+errors (among them out-of-range seeds, an infinite Pareto shape, and a
+``sample`` and two ``simulate`` calls whose clutter can exceed the double
+range, next to a ``sample`` just inside that bound) and ``--help``.  A
+``simulate`` at 8x64 and 4x32 also reaches numpy's own row reductions,
+which windows under 8 (sums) and 32 (minima) cells do not, and a
+``verify`` at M = 8 and 32 carries the dual Monte Carlo's running
 reference sum and minimum across columns no rule tests.  Two small
 ``verify`` calls check the reduction identities at
 M = 200, tau = 100, where the single-pulse forms underflow to 0, and at
@@ -157,6 +159,16 @@ def invocations() -> list[list[str]]:
         # One seed check for every layer, so one message for each refusal.
         ["sample", "--alpha", "3", "--beta", "2", "--count", "10", "--seed",
          "-1"],
+        # Clutter whose variates can exceed the double range is refused
+        # before any draw; just above the bound it samples.
+        ["sample", "--alpha", "0.01", "--beta", "1", "--count", "100000",
+         "--seed", "0", "--out", "{tmp}/overflow.txt"],
+        ["simulate", *window("full-multi", "2", "8"), "--tau", "1",
+         "--alpha", "0.01", "--beta", "1", "--trials", "100000"],
+        ["simulate", *window("partial-multi", "2", "8"), "--tau", "1",
+         "--alpha", "0.2", "--beta", "1e300", "--trials", "100000"],
+        ["sample", "--alpha", "0.0518", "--beta", "1", "--count", "1000",
+         "--seed", "0", "--out", "{tmp}/edge.txt"],
         ["simulate", *window("full-multi", "2", "4"), "--tau", "1",
          "--alpha", "3", "--beta", "2", "--trials", "1000", "--seed", "-1"],
         ["verify", "--seed", "18446744073709551616", "--trials", "1000000",
