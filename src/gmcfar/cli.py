@@ -99,10 +99,10 @@ def _pfa_and_solver(args, kind: DetectorKind, n_cut: int, m_ref: int,
                                Callable[[SolverConfig], float]]:
     """The pair (Pfa of tau, tau of a solver config) for one window.
 
-    Partial-single inverts in closed form and needs no report; every other
-    kind uses the validated Pfa and the numeric solver over one report.
+    Without ``--report``, partial-single inverts in closed form and reads
+    no report; otherwise the validated Pfa and the solver check one report.
     """
-    if kind is DetectorKind.GM_PARTIAL_SINGLE:
+    if kind is DetectorKind.GM_PARTIAL_SINGLE and not args.report:
         return (lambda tau: _closed_form(kind, n_cut, m_ref, tau, None),
                 lambda config: solve_tau_partial_single(m_ref,
                                                         config.target_pfa))
@@ -120,7 +120,7 @@ def _cmd_pfa(args) -> int:
     rows = []
     for name in names:
         if name == "quadrature":
-            value = _quadrature(kind, n_cut, m_ref, tau, 1e-10)
+            value = _quadrature(kind.is_full, n_cut, m_ref, tau, 1e-10)
         elif name == "validated":
             report = _obtain_report(args, kind, n_cut, m_ref)
             value = validated_pfa(kind, report, n_cut, m_ref, tau)

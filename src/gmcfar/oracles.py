@@ -151,7 +151,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def _mc_dual_counts(rules: Sequence[tuple[bool, int, int, float]],
                     trials: int, seed: int) -> list[int]:
     """Success counts P(margin > 0), one per ``(full, n, m, tau)`` of
-    ``rules``, all on one draw of per-column streams.
+    ``rules``, all on one draw of per-column streams.  ``adjudicate_kinds``
+    passes each distinct rule of its grids once and keys its per-rule
+    evidence, this count and the rule's quadratures, by the same tuple.
 
     A ``full`` rule is the minimum-anchored sum X > (n - m tau) Ymin +
     tau sum Y, any other the scale-weighted sum X > tau sum Y.  Cut cell j
@@ -563,11 +565,11 @@ def _variants(kind: DetectorKind) -> tuple[PfaFormulaVariant, ...]:
             else (PfaFormulaVariant.PAPER,))
 
 
-def _quadrature(kind: DetectorKind, n: int, m: int, tau: float, tol: float,
+def _quadrature(full: bool, n: int, m: int, tau: float, tol: float,
                 excess_shape: ExcessShape = ExcessShape.M_MINUS_ONE) -> float:
-    """The quadrature oracle of ``kind``; ``excess_shape`` applies to the
-    minimum-anchored kinds only."""
-    if kind.is_full:
+    """The quadrature oracle of the minimum-anchored rule if ``full``, else
+    of the scale-weighted rule; ``excess_shape`` applies to the first only."""
+    if full:
         return quadrature_pfa_full_multi(n, m, tau, tol, excess_shape)
     return quadrature_pfa_partial_multi(n, m, tau, tol)
 
@@ -576,8 +578,11 @@ def adjudicate_kinds(grids: Mapping[DetectorKind, Optional[Sequence]],
                      trials: int = 10_000_000, seed: int = 0,
                      tol: float = 1e-10) -> dict:
     """The ``adjudicate`` report of each kind of ``grids`` over its grid
-    (None for the default grid), counting every window of every kind on one
-    draw, and computing each distinct quadrature once."""
+    (None for the default grid).  Evidence is keyed by the rule
+    ``(full, n, m, tau)``, not the kind, since a multi-pulse kind's N = 1
+    points repeat its single-pulse kind's: each distinct rule has one Monte
+    Carlo estimate, all counted on one draw, one M-1-shape quadrature and,
+    if full, one M-shape quadrature."""
     grids = {kind: [(*_check_window(kind, n, m), _check_tau(t))
                     for n, m, t in (default_grid(kind) if grid is None
                                     else grid)]
@@ -588,28 +593,17 @@ def adjudicate_kinds(grids: Mapping[DetectorKind, Optional[Sequence]],
     seed = _check_int("seed", seed, 0, _U64)
     tol = _check_tol(tol)
 
-    # One draw of per-column streams, counted under every distinct rule.
-    points = list(dict.fromkeys((kind.is_full, n, m, tau)
-                                for kind, grid in grids.items()
-                                for n, m, tau in grid))
-    mc = {point: EstimateWithCI(successes, trials) for point, successes
-          in zip(points, _mc_dual_counts(points, trials, seed))}
-
-    # The rule, not the kind, sets a quadrature: a multi-pulse kind's N = 1
-    # points repeat its single-pulse kind's.
-    quadratures = {}
-
-    def quadrature(kind, n, m, tau, shape=ExcessShape.M_MINUS_ONE):
-        key = kind.is_full, n, m, tau, shape
-        if key not in quadratures:
-            quadratures[key] = _quadrature(kind, n, m, tau, tol, shape)
-        return quadratures[key]
-
+    rules = list(dict.fromkeys((kind.is_full, n, m, tau)
+                               for kind, grid in grids.items()
+                               for n, m, tau in grid))
+    evidence = {rule: (EstimateWithCI(successes, trials),
+                       _quadrature(*rule, tol),
+                       _quadrature(*rule, tol, ExcessShape.M) if rule[0]
+                       else None)
+                for rule, successes
+                in zip(rules, _mc_dual_counts(rules, trials, seed))}
     return {kind: AdjudicationReport(kind, seed, trials, tol, tuple(
-        GridPointRecord(kind, n, m, tau, mc[kind.is_full, n, m, tau],
-                        quadrature(kind, n, m, tau),
-                        (quadrature(kind, n, m, tau, ExcessShape.M)
-                         if kind.is_full else None))
+        GridPointRecord(kind, n, m, tau, *evidence[kind.is_full, n, m, tau])
         for n, m, tau in grid)) for kind, grid in grids.items()}
 
 
@@ -642,4 +636,4 @@ def validated_pfa(kind: DetectorKind, report: AdjudicationReport,
     variant = report.validated_variant
     if variant is not None or kind is DetectorKind.GM_PARTIAL_SINGLE:
         return _closed_form(kind, n, m, tau, variant)
-    return _quadrature(kind, n, m, tau, tol)
+    return _quadrature(kind.is_full, n, m, tau, tol)

@@ -80,7 +80,8 @@ def solve_tau_numeric(kind: DetectorKind, n_cut: int, m_ref: int,
     The minimum-anchored rules with a single reference cell have
     tau-invariant Pfa, so no threshold exists for them; that is reported
     as an unreachable-target error, as is any target above the tau = 0
-    ceiling of the curve.
+    ceiling of the curve.  Partial-single checks ``report`` through that
+    ceiling like every other kind, then inverts in closed form.
     """
     n_cut, m_ref = _check_window(kind, n_cut, m_ref)
     _check_instance("config", config, SolverConfig)
@@ -90,8 +91,6 @@ def solve_tau_numeric(kind: DetectorKind, n_cut: int, m_ref: int,
             f"{kind.value} with one reference cell has tau-invariant Pfa; "
             "no threshold multiplier reaches the target"
         )
-    if kind is DetectorKind.GM_PARTIAL_SINGLE:
-        return solve_tau_partial_single(m_ref, target)
 
     # abs_tol is on the Pfa scale; the quadrature tolerance is relative.
     quad_tol = min(1e-10, config.abs_tol / (10.0 * target))
@@ -107,6 +106,8 @@ def solve_tau_numeric(kind: DetectorKind, n_cut: int, m_ref: int,
             f"target {target:g} exceeds the tau=0 ceiling {ceiling:.9g} "
             f"of {kind.value}"
         )
+    if kind is DetectorKind.GM_PARTIAL_SINGLE:
+        return solve_tau_partial_single(m_ref, target)
 
     lo, hi = 0.0, 1.0
     f_lo, f_hi = ceiling, pfa_at(hi)

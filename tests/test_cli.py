@@ -269,6 +269,33 @@ class TestThresholdCommand:
         assert code == 3
         assert "tau-invariant" in err
 
+    # Partial-single answers threshold and sweep in closed form, but reads
+    # and checks a given report like every other kind.
+    PARTIAL_SINGLE = {
+        "threshold": ["threshold", "--pfa", "1e-3", "--format", "json"],
+        "tau-sweep": ["sweep", "--tau-range", "0:2", "--step", "0.25"],
+        "pfa-sweep": ["sweep", "--pfa-range", "1e-1:1e-7", "--step", "7"],
+    }
+
+    @pytest.mark.parametrize("command", PARTIAL_SINGLE.values(),
+                             ids=PARTIAL_SINGLE)
+    def test_partial_single_reads_its_report(self, capsys, tmp_path,
+                                             command):
+        code, out, err = run_cli(capsys, *command, "--kind", "partial-single",
+                                 "--n", "8", "--report",
+                                 str(tmp_path / "absent.json"))
+        assert (code, out) == (2, "")
+        assert "cannot read report" in err
+
+    @pytest.mark.parametrize("command", PARTIAL_SINGLE.values(),
+                             ids=PARTIAL_SINGLE)
+    def test_partial_single_report_changes_no_byte(self, capsys, verify_file,
+                                                   no_adjudication, command):
+        path, _, _ = verify_file
+        args = [*command, "--kind", "partial-single", "--n", "8"]
+        bare = run_cli(capsys, *args)
+        assert run_cli(capsys, *args, "--report", str(path)) == bare
+
     def test_bad_target_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "threshold", "--kind", "partial-single",
                              "--n", "8", "--pfa", "1.5")

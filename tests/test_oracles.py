@@ -579,6 +579,35 @@ class TestAdjudicate:
             adjudicate(DetectorKind.GM_FULL_MULTI, [(2, 4, 1.0)],
                        trials=10, tol=0.5)
 
+    # Every kind over N, M in {1, 2} x {1, 3}: the multi-pulse kinds'
+    # N = 1 points are their single-pulse kinds' rules.
+    RULE_GRIDS = {kind: default_grid(kind, (1, 2), (1, 3), (0.5, 2.0))
+                  for kind in DetectorKind}
+
+    def test_each_rule_integrated_once(self, monkeypatch):
+        # One entry a distinct rule: its M-1-shape quadrature, and its
+        # M-shape one too if it is a full rule.
+        calls = []
+        for name in ("quadrature_pfa_partial_multi",
+                     "quadrature_pfa_full_multi"):
+            def counting(*args, real=getattr(oracles, name)):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(oracles, name, counting)
+        oracles.adjudicate_kinds(self.RULE_GRIDS, trials=2_000, seed=4)
+        rules = {(kind.is_full, n, m, tau)
+                 for kind, grid in self.RULE_GRIDS.items()
+                 for n, m, tau in grid}
+        assert len(rules) == 16
+        assert len(calls) == len(rules) + sum(full for full, *_ in rules)
+
+    def test_kinds_together_write_what_each_writes_alone(self):
+        kw = dict(trials=20_000, seed=6)
+        reports = oracles.adjudicate_kinds(self.RULE_GRIDS, **kw)
+        for kind, grid in self.RULE_GRIDS.items():
+            assert (reports[kind].to_json()
+                    == adjudicate(kind, grid, **kw).to_json()), kind
+
     def test_default_grid_shapes(self):
         single = default_grid(DetectorKind.GM_FULL_SINGLE)
         multi = default_grid(DetectorKind.GM_FULL_MULTI)

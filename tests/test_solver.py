@@ -26,6 +26,13 @@ def partial_multi_report():
 
 
 @pytest.fixture(scope="module")
+def partial_single_report():
+    grid = [(1, 8, 1.0), (1, 4, 0.5)]
+    return adjudicate(DetectorKind.GM_PARTIAL_SINGLE, grid, trials=1_000_000,
+                      seed=0)
+
+
+@pytest.fixture(scope="module")
 def low_trials_report():
     return adjudicate(DetectorKind.GM_FULL_MULTI, [(1, 4, 1.0)],
                       trials=50_000, seed=1)
@@ -94,11 +101,21 @@ class TestNumericSolve:
         achieved = pfa_gm_full_multi(2, 8, tau, PfaFormulaVariant.CANDIDATE)
         assert abs(achieved - 1e-4) <= config.abs_tol
 
-    def test_partial_single_uses_closed_form(self, partial_multi_report):
+    def test_partial_single_uses_closed_form(self, partial_single_report):
         config = SolverConfig(1e-4)
         tau = solve_tau_numeric(DetectorKind.GM_PARTIAL_SINGLE, 1, 8,
-                                config, partial_multi_report)
+                                config, partial_single_report)
         assert tau == solve_tau_partial_single(8, 1e-4)
+
+    @pytest.mark.parametrize("report", [None, "junk", "partial_multi_report"])
+    def test_partial_single_checks_its_report(self, request, report):
+        # Like every other kind, partial-single refuses a report that is not
+        # its own before it answers.
+        if report == "partial_multi_report":
+            report = request.getfixturevalue(report)
+        with pytest.raises(ParameterDomainError):
+            solve_tau_numeric(DetectorKind.GM_PARTIAL_SINGLE, 1, 8,
+                              SolverConfig(1e-4), report)
 
     def test_full_multi_at_documented_bound(self, full_multi_report):
         # Windows up to 10**3 are inside the documented domain: a threshold

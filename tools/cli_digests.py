@@ -17,9 +17,11 @@ modes in both formats, a ``sweep`` at its 10,000-row cap and two just past
 it, ``simulate``, ``sample``, a reduced ``verify`` (its report file and
 stdout) and one whose ``--n-grid`` leaves out 1, so that the single-pulse
 kinds count on a cut sum no multi-pulse window of the grid takes, usage
-errors (among them out-of-range seeds, an infinite Pareto shape, and a
+errors (among them out-of-range seeds, an infinite Pareto shape, a
 ``sample`` and two ``simulate`` calls whose clutter can exceed the double
-range, next to a ``sample`` just inside that bound) and ``--help``.  A
+range, next to a ``sample`` just inside that bound, and a ``pfa``, a
+partial-single ``threshold`` and a partial-single ``sweep`` given a report
+file that does not exist) and ``--help``.  A
 ``simulate`` at 8x64 and 4x32 also reaches numpy's own row reductions,
 which windows under 8 (sums) and 32 (minima) cells do not, and a
 ``verify`` at M = 8 and 32 carries the dual Monte Carlo's running
@@ -123,6 +125,12 @@ def invocations() -> list[list[str]]:
          "--variant", "paper"],
         ["pfa", *window("full-multi", "2", "4"), "--tau", "1",
          "--report", "{tmp}/absent.json"],
+        # Partial-single reads a given report too, though it answers in
+        # closed form.
+        ["threshold", *window("partial-single", "8", None), "--pfa", "1e-3",
+         "--report", "{tmp}/absent.json"],
+        ["sweep", *window("partial-single", "8", None), "--tau-range", "0:1",
+         "--step", "0.5", "--report", "{tmp}/absent.json"],
         ["sweep", *window("partial-single", "4", None)],
         ["sweep", *window("full-multi", "4", "16"), "--tau-range=-1:1",
          "--step", "0.5", "--trials", "20000"],
